@@ -6,7 +6,7 @@ Typical invocations::
     python -m repro.bench --tiny              # smoke-sized matrix
     python -m repro.bench --large             # ~10x scaled matrix
     python -m repro.bench --tiny --assert-all-hits   # warm-cache check
-    python -m repro.bench --compare-kernels   # cold kernel A/B/C evidence
+    python -m repro.bench --compare-kernels   # cold kernel A/B evidence
     python -m repro.bench --updates           # batch-vs-per-edge replay
     python -m repro.bench --shard --large     # multi-process scaling curve
 
@@ -24,7 +24,7 @@ import sys
 from repro.bench.cache import DiskCache
 from repro.bench.runner import compare_kernels_all, default_matrix, execute
 from repro.bench.wallclock import available_cpus
-from repro.perf import NATIVE, REFERENCE, VECTORIZED
+from repro.perf import NATIVE, REFERENCE
 
 DEFAULT_OUTPUT = "BENCH_wallclock.json"
 DEFAULT_UPDATES_OUTPUT = "BENCH_updates.json"
@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--kernels",
-        choices=(NATIVE, VECTORIZED, REFERENCE),
+        choices=(NATIVE, REFERENCE),
         default=None,
         help="kernel mode for the matrix (default: REPRO_KERNELS)",
     )
@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--compare-kernels",
         action="store_true",
-        help="also run the cold kernel-mode A/B/C on every kernelized "
+        help="also run the cold kernel-mode A/B on every kernelized "
         "engine (ours plus the baselines)",
     )
     parser.add_argument(

@@ -29,7 +29,6 @@ from repro.perf import (
     KERNELS_ENV,
     NATIVE,
     REFERENCE,
-    VECTORIZED,
     kernel_mode,
     native_available,
 )
@@ -48,7 +47,7 @@ from repro.trace import Tracer, tracing, write_trace
 #: ``--assert-all-hits`` failures can name the cache that missed.
 BENCH_SCHEMA_VERSION = 4
 
-#: Engines with mode-switchable kernels, A/B/C'd by ``--compare-kernels``.
+#: Engines with mode-switchable kernels, A/B'd by ``--compare-kernels``.
 KERNELIZED_ENGINES = ("ours", "pkc", "park", "julienne")
 
 
@@ -59,7 +58,7 @@ class BenchCell:
     engine: str
     graph: str
     size: str = "full"
-    kernels: str = VECTORIZED
+    kernels: str = NATIVE
 
     def key_fields(self) -> dict[str, object]:
         """Every input that determines this cell's payload and timing."""
@@ -331,19 +330,16 @@ def compare_kernels(
     engine: str = "ours",
     modes: tuple[str, ...] | None = None,
 ) -> dict[str, object]:
-    """Cold A/B/C of the kernel modes on one engine over the suite.
+    """Cold A/B of the kernel modes on one engine over the suite.
 
-    Runs every graph under each mode (the reference loop, the flat
-    NumPy kernel, and — when a compiler is present — the native kernel),
-    all uncached, and reports the aggregate wall-clock speedup of the
-    fastest mode over the reference — the evidence figure behind the
-    perf layer.
+    Runs every graph under each mode (the reference loop and — when a
+    compiler is present — the native kernel), all uncached, and reports
+    the aggregate wall-clock speedup of the fastest mode over the
+    reference — the evidence figure behind the perf layer.
     """
     graphs = list(graphs) if graphs else list(suite.SUITE)
     if modes is None:
-        modes = (REFERENCE, VECTORIZED) + (
-            (NATIVE,) if native_available() else ()
-        )
+        modes = (REFERENCE,) + ((NATIVE,) if native_available() else ())
     totals: dict[str, float] = {}
     per_graph: dict[str, dict[str, float]] = {name: {} for name in graphs}
     for mode in modes:
@@ -382,7 +378,7 @@ def compare_kernels_all(
     engines: tuple[str, ...] = KERNELIZED_ENGINES,
     modes: tuple[str, ...] | None = None,
 ) -> dict[str, object]:
-    """Cold kernel A/B/C for every kernelized engine (schema v3 shape).
+    """Cold kernel A/B for every kernelized engine (schema v3 shape).
 
     One :func:`compare_kernels` sweep per engine; the report keys the
     results by engine so the regenerated wallclock evidence records how

@@ -11,14 +11,13 @@ peeling chain stays on the thread that discovered it, so one thread can
 end up with nearly all the work (the paper's critique in Sec. 4.2).  The
 simulated step records per-thread work and takes the maximum as the span.
 
-The round drain comes in three bit-exact implementations behind the
+The round drain comes in two bit-exact implementations behind the
 ``REPRO_KERNELS`` switch: the original per-edge Python loop
-(:func:`_chain_drain_reference`, the equivalence oracle), the flat NumPy
-wave kernel (:func:`repro.perf.kernels.pkc_chain_drain`) and the
+(:func:`_chain_drain_reference`, the equivalence oracle) and the
 compiled C drain (:func:`repro.perf.kernels.pkc_chain_drain_native`).
-All three produce the same coreness, the same contention-count multiset
-and — via the closed form :func:`repro.perf.kernels.pkc_thread_works` —
-the same per-thread work vector, so the metrics ledger is bit-identical
+Both produce the same coreness, the same contention-count multiset and
+— via the closed form :func:`repro.perf.kernels.pkc_thread_works` — the
+same per-thread work vector, so the metrics ledger is bit-identical
 (enforced by the regression goldens and the kernel-matrix tests).
 """
 
@@ -28,10 +27,9 @@ import numpy as np
 
 from repro.core.result import CorenessResult
 from repro.graphs.csr import CSRGraph
-from repro.perf import NATIVE, REFERENCE, kernel_mode
+from repro.perf import REFERENCE, kernel_mode
 from repro.perf.kernels import (
     KernelScratch,
-    pkc_chain_drain,
     pkc_chain_drain_native,
     pkc_thread_works,
     threshold_frontier,
@@ -141,10 +139,7 @@ def pkc_kcore(
                 graph, dtilde, peeled, coreness, frontier, k, p, model
             )
         else:
-            drain = pkc_chain_drain_native if regime == NATIVE else (
-                pkc_chain_drain
-            )
-            nv, ne, counts, claimed = drain(
+            nv, ne, counts, claimed = pkc_chain_drain_native(
                 graph, dtilde, peeled, coreness, frontier, k, p, scratch
             )
             thread_works = pkc_thread_works(model, nv, ne)

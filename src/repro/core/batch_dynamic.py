@@ -31,12 +31,12 @@ inside the batch.  The differential update oracle
 (:mod:`repro.regress.update_oracle`) enforces bit-equality against a
 full recompute after every batch.
 
-``REPRO_KERNELS`` selects the neighbor-expansion kernel exactly as in
-:mod:`repro.perf.kernels`: ``reference`` runs the original per-edge
-Python gather loop, every other mode (``vectorized``, ``native``,
-``auto``) the flat NumPy gather.  The compiled C kernel applies to the
-VGC task loop only, so ``native`` resolves to the flat NumPy path here;
-all modes are bit-exact — same coreness, same simulated-runtime ledger.
+``REPRO_KERNELS`` selects the neighbor-expansion kernel:
+``reference`` runs the original per-edge Python gather loop, ``native``
+the flat NumPy gather (:func:`neighbor_stream_vectorized`).  No C twin
+exists for these rounds, so the flat NumPy path is their fast tier.
+Both modes are bit-exact — same coreness, same simulated-runtime
+ledger.
 
 Work is charged to the simulated runtime through the sanctioned APIs
 (``parallel_for`` / ``parallel_update`` with contention counts from the

@@ -55,8 +55,13 @@ def hindex_coreness(
     of its neighbors' current estimates; vertices whose estimate did not
     change and whose neighbors' estimates did not change are skipped (the
     standard "push on change" optimization).  Rounds are counted in the
-    metrics' ``rounds`` field.
+    metrics' ``rounds`` field.  The rounds themselves run on the shard
+    engine's :class:`repro.shard.rounds.RoundKernels`, so the
+    ``REPRO_KERNELS`` switch selects the compiled or the reference loop.
     """
+    # Imported here: repro.shard.rounds imports h_index from this module.
+    from repro.shard.rounds import RoundKernels
+
     runtime = SimRuntime(model)
     n = graph.n
     estimate = graph.degrees.astype(np.int64).copy()
@@ -67,33 +72,30 @@ def hindex_coreness(
         )
     runtime.parallel_for(model.scan_op, count=n, barriers=1, tag="init")
 
+    degrees = estimate.copy()
+    kernels = RoundKernels(
+        graph.indptr, graph.indices, hist_size=int(degrees.max()) + 2
+    )
     limit = max_rounds if max_rounds is not None else 2 * n + 2
-    dirty = np.ones(n, dtype=bool)
+    active = np.arange(n, dtype=np.int64)
     for _ in range(limit):
-        active = np.nonzero(dirty)[0]
         if active.size == 0:
             break
         runtime.begin_round()
-        changed: list[int] = []
-        work = 0.0
         # Synchronous (Jacobi) update from a snapshot: all vertices read
         # the previous round's estimates, as distributed nodes would.
-        snapshot = estimate.copy()
-        for v in active:
-            v = int(v)
-            neighbors = graph.neighbors(v)
-            work += model.vertex_op + model.edge_op * neighbors.size
-            new = min(int(snapshot[v]), h_index(snapshot[neighbors]))
-            if new != estimate[v]:
-                estimate[v] = new
-                changed.append(v)
+        new = kernels.hindex_round(estimate, active)
+        changed = new != estimate[active]
+        # ``cumsum`` adds sequentially in vertex order, so the round's
+        # work equals a running per-vertex total under any cost model.
+        work = np.cumsum(model.vertex_op + model.edge_op * degrees[active])
         runtime.parallel_for(
-            np.array([max(work, 1.0)]), barriers=1, tag="hindex_round"
+            np.array([max(float(work[-1]), 1.0)]),
+            barriers=1,
+            tag="hindex_round",
         )
-        dirty[:] = False
-        if changed:
-            for v in changed:
-                dirty[graph.neighbors(v)] = True
+        estimate[active[changed]] = new[changed]
+        active = kernels.next_active(active[changed], 0, n)
     else:
         raise RuntimeError(
             "H-index iteration did not converge within the round limit"

@@ -14,11 +14,10 @@ import numpy as np
 
 from repro.core.state import PeelState
 from repro.core.vgc import VGCConfig
-from repro.perf import NATIVE, REFERENCE, kernel_mode
+from repro.perf import REFERENCE, kernel_mode
 from repro.perf.kernels import (
     VGCTaskResult,
     scan_peel_round,
-    vgc_peel_tasks,
     vgc_peel_tasks_native,
 )
 from repro.primitives.bitops import sorted_member_mask
@@ -120,12 +119,11 @@ class OnlinePeel:
     ) -> np.ndarray:
         """Run the local searches, then the shared subround epilogue.
 
-        The task loop comes in three bit-exact implementations — the
-        compiled native kernel, the flat NumPy kernel, and the original
-        reference loop — selected by ``REPRO_KERNELS``; everything
-        after it (contention accounting, resampling, bucket updates,
-        frontier merge) is shared, so the implementations can only
-        differ inside the loop.
+        The task loop comes in two bit-exact implementations — the
+        compiled native kernel and the original reference loop —
+        selected by ``REPRO_KERNELS``; everything after it (contention
+        accounting, resampling, bucket updates, frontier merge) is
+        shared, so the implementations can only differ inside the loop.
         """
         assert self.vgc is not None
         runtime = state.runtime
@@ -133,16 +131,8 @@ class OnlinePeel:
         regime = kernel_mode()
         if regime == REFERENCE:
             result = self._vgc_task_loop_reference(state, frontier, k)
-        elif regime == NATIVE:
-            result = vgc_peel_tasks_native(
-                state,
-                frontier,
-                k,
-                self.vgc.queue_size,
-                self.vgc.edge_budget,
-            )
         else:
-            result = vgc_peel_tasks(
+            result = vgc_peel_tasks_native(
                 state,
                 frontier,
                 k,

@@ -7,7 +7,7 @@ histograms that guarded hooks across the stack feed —
 
 * the simulated runtime (steps, work, rounds) and the batch-dynamic
   update engine (batches, repair rounds, risers/fallers);
-* the serve writer loop (commit latency, batch sizes, queue depth,
+* the serve writer loop (commit latency, batch sizes, queue wait,
   read-staleness histograms, one mark per committed epoch);
 * kernel dispatch in :mod:`repro.perf` (mode resolutions, native
   fallbacks, ``.so`` build-cache hits);

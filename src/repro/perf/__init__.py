@@ -2,55 +2,41 @@
 
 The simulated runtime's *accounting* is independent of how fast the host
 Python actually executes a peel; ``repro.perf`` is about the latter.  It
-provides batched kernels for the hot peel paths that reproduce the
+provides compiled kernels for the hot peel paths that reproduce the
 reference implementations' metrics ledger bit-for-bit (enforced by the
 regression goldens), plus the ``REPRO_KERNELS`` switch that selects
-between them:
+between the two tiers:
 
-* ``auto`` (default) — the native kernel when a C compiler is available
-  on this host, otherwise the vectorized NumPy kernel;
-* ``native`` — a small C kernel compiled on first use (see
-  :mod:`repro.perf.native`); an error if no compiler is available;
-* ``vectorized`` — the flat-buffer NumPy kernels in
-  :mod:`repro.perf.kernels`;
+* ``auto`` (default) — ``native``; on a host where no C compiler can
+  build it, ``reference``, with a one-time ``RuntimeWarning``;
+* ``native`` — the C kernels compiled on first use (see
+  :mod:`repro.perf.native`), plus the flat NumPy paths that have no C
+  twin; an error if no compiler is available;
 * ``reference`` — the original straight-line Python loops, kept as the
   equivalence oracle for property tests and A/B wall-clock comparisons.
 
-All modes are bit-exact with each other: same coreness, same metrics
+Both tiers are bit-exact with each other: same coreness, same metrics
 ledger, same RNG stream.  The mode is purely a wall-clock knob.
-
-``REPRO_KERNEL_THRESHOLD`` tunes the scalar-vs-vectorized regime switch
-inside the NumPy kernel (expansions below the threshold run a tuned
-scalar loop; NumPy dispatch only pays off on larger neighbor lists).
-The default was chosen by the committed micro-benchmark in
-``benchmarks/micro/kernel_threshold.json``.
 """
 
 from __future__ import annotations
 
 import os
+import warnings
 
 from repro.obs.registry import active_registry
 
 #: Environment variable selecting the kernel implementation.
 KERNELS_ENV = "REPRO_KERNELS"
 
-#: Environment variable tuning the scalar/vectorized expansion threshold.
-THRESHOLD_ENV = "REPRO_KERNEL_THRESHOLD"
-
 AUTO = "auto"
 NATIVE = "native"
-VECTORIZED = "vectorized"
 REFERENCE = "reference"
 
-_VALID_MODES = (AUTO, NATIVE, VECTORIZED, REFERENCE)
+_VALID_MODES = (AUTO, NATIVE, REFERENCE)
 
-#: Default scalar-vs-vectorized expansion threshold (edges per expansion).
-#: Chosen by ``benchmarks/micro/bench_kernel_threshold.py`` — see the
-#: committed ``benchmarks/micro/kernel_threshold.json`` and
-#: docs/PERFORMANCE.md.  128 won both the full-tier sweep there and a
-#: large-tier spot check (hub degrees in the thousands).
-DEFAULT_KERNEL_THRESHOLD = 128
+#: Whether this process has already warned that ``auto`` fell back.
+_fallback_warned = False
 
 
 def native_available() -> bool:
@@ -63,12 +49,14 @@ def native_available() -> bool:
 def kernel_mode() -> str:
     """The active kernel implementation, resolved to a concrete mode.
 
-    Returns one of ``native``, ``vectorized`` or ``reference``.  The
-    default ``auto`` resolves to ``native`` when a C compiler is
-    available on this host and to ``vectorized`` otherwise, so the
-    payloads (which are bit-identical across modes) never depend on the
-    host toolchain — only the wall-clock does.
+    Returns ``native`` or ``reference``.  The default ``auto`` resolves
+    to ``native``; on a host without a working C compiler it falls back
+    to ``reference`` loudly (a one-time ``RuntimeWarning`` and the
+    ``kernel.fallback.native_unavailable`` counter).  The payloads are
+    bit-identical across modes, so only the wall-clock depends on the
+    host toolchain.
     """
+    global _fallback_warned
     mode = os.environ.get(KERNELS_ENV, AUTO).strip().lower()
     if mode not in _VALID_MODES:
         raise ValueError(
@@ -76,7 +64,15 @@ def kernel_mode() -> str:
         )
     registry = active_registry()
     if mode == AUTO:
-        resolved = NATIVE if native_available() else VECTORIZED
+        resolved = NATIVE if native_available() else REFERENCE
+        if resolved != NATIVE and not _fallback_warned:
+            _fallback_warned = True
+            warnings.warn(
+                f"{KERNELS_ENV}={AUTO}: no C compiler could build the "
+                f"native kernels; running the {REFERENCE} loops",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         if registry is not None:
             registry.inc(f"kernel.mode.{resolved}")
             if resolved != NATIVE:
@@ -85,43 +81,18 @@ def kernel_mode() -> str:
     if mode == NATIVE and not native_available():
         raise RuntimeError(
             f"{KERNELS_ENV}={NATIVE} but no C compiler is available; "
-            f"use {AUTO} to fall back to the vectorized NumPy kernels"
+            f"use {AUTO} to fall back to the {REFERENCE} loops"
         )
     if registry is not None:
         registry.inc(f"kernel.mode.{mode}")
     return mode
 
 
-def kernel_threshold() -> int:
-    """The scalar-vs-vectorized expansion threshold (``>= 0``).
-
-    Expansions with fewer edges than this run the tuned scalar loop of
-    the NumPy kernel; larger ones use full NumPy batching.  Both regimes
-    are bit-exact, so this is purely a speed knob.
-    """
-    raw = os.environ.get(THRESHOLD_ENV, "").strip()
-    if not raw:
-        return DEFAULT_KERNEL_THRESHOLD
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{THRESHOLD_ENV} must be an integer, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise ValueError(f"{THRESHOLD_ENV} must be >= 0, got {value}")
-    return value
-
-
 __all__ = [
     "AUTO",
-    "DEFAULT_KERNEL_THRESHOLD",
     "KERNELS_ENV",
     "NATIVE",
     "REFERENCE",
-    "THRESHOLD_ENV",
-    "VECTORIZED",
     "kernel_mode",
-    "kernel_threshold",
     "native_available",
 ]

@@ -26,7 +26,8 @@ changes (see docs/PERFORMANCE.md):
 
 When no compiler is available (or compilation fails for any reason) the
 kernel reports unavailable and ``REPRO_KERNELS=auto`` falls back to the
-NumPy kernels — behavior, payloads and goldens are identical either way.
+reference loops with a ``RuntimeWarning`` — payloads and goldens are
+identical either way; only the wall-clock differs.
 """
 
 from __future__ import annotations

@@ -33,13 +33,7 @@ from pathlib import Path
 
 from repro.generators.streams import PROFILES
 from repro.generators.suite import SMALL
-from repro.perf import (
-    KERNELS_ENV,
-    NATIVE,
-    REFERENCE,
-    VECTORIZED,
-    native_available,
-)
+from repro.perf import KERNELS_ENV, NATIVE, REFERENCE, native_available
 from repro.regress.compare import diff_run
 from repro.regress.goldens import (
     GoldenVersionError,
@@ -147,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernels",
         default="all",
         help="comma-separated REPRO_KERNELS modes to sweep, or 'all' "
-        "(default: reference + vectorized, + native when available)",
+        "(default: reference, + native when available)",
     )
     updates.add_argument(
         "--dump-dir",
@@ -278,9 +272,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_oracle_updates(args: argparse.Namespace) -> int:
     names = args.graphs.split(",") if args.graphs else None
     if args.kernels == "all":
-        kernels = [REFERENCE, VECTORIZED] + (
-            [NATIVE] if native_available() else []
-        )
+        kernels = [REFERENCE] + ([NATIVE] if native_available() else [])
     else:
         kernels = args.kernels.split(",")
     findings = []

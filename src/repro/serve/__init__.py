@@ -166,9 +166,6 @@ class CoreService:
             )
             if queue_wait > 0:
                 registry.inc("serve.queued_batches")
-            registry.set_gauge(
-                "serve.queue_depth", 1.0 if queue_wait > 0 else 0.0
-            )
             registry.mark(commit, label=f"epoch {result.epoch}")
         return commit
 

@@ -8,15 +8,13 @@ global active set produces the same new estimates whether one process
 computes it or seven workers each compute a contiguous slice, which is
 the invariant ``oracle-shard`` enforces bit-for-bit.
 
-Three implementations, selected by the ``REPRO_KERNELS`` switch and
+Two implementations, selected by the ``REPRO_KERNELS`` switch and
 bit-exact with each other:
 
 * ``native`` — the compiled ``hindex_round`` / ``mark_dirty`` kernels
   (:mod:`repro.perf.native`), a clipped-histogram H-index whose reset
   and suffix scans are bounded by ``O(deg(v))`` because estimates start
   at the degree bound and only decrease;
-* ``vectorized`` — flat NumPy over the concatenated active
-  neighborhoods (sort-rank H-index: ``H = #{j : sorted_desc[j] > j}``);
 * ``reference`` — the straight-line Python loop over
   :func:`repro.core.locality.h_index`, kept as the equivalence oracle.
 """
@@ -26,31 +24,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.locality import h_index
-from repro.perf import NATIVE, REFERENCE, kernel_mode
+from repro.perf import NATIVE, kernel_mode
 
 _EMPTY = np.zeros(0, dtype=np.int64)
-
-
-def _flat_neighborhoods(
-    indptr: np.ndarray, indices: np.ndarray, vertices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenated neighbor lists of ``vertices`` plus segment shape.
-
-    Returns ``(neighbors, seg_starts, counts)`` where ``neighbors`` is
-    the concatenation of each vertex's adjacency row and segment ``i``
-    occupies ``[seg_starts[i], seg_starts[i] + counts[i])``.
-    """
-    starts = indptr[vertices]
-    counts = indptr[vertices + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return _EMPTY, np.zeros(vertices.size, dtype=np.int64), counts
-    seg_ends = np.cumsum(counts)
-    seg_starts = seg_ends - counts
-    flat = np.arange(total, dtype=np.int64) + np.repeat(
-        starts - seg_starts, counts
-    )
-    return np.asarray(indices[flat], dtype=np.int64), seg_starts, counts
 
 
 class RoundKernels:
@@ -94,9 +70,7 @@ class RoundKernels:
             return run_hindex_round(
                 self.indptr, self.indices, est, active, out, self._hist
             )
-        if self.mode == REFERENCE:
-            return self._round_reference(est, active)
-        return self._round_vectorized(est, active)
+        return self._round_reference(est, active)
 
     def _round_reference(
         self, est: np.ndarray, active: np.ndarray
@@ -110,29 +84,6 @@ class RoundKernels:
             out[i] = min(int(est[v]), h_index(est[nbrs]))
         return out
 
-    def _round_vectorized(
-        self, est: np.ndarray, active: np.ndarray
-    ) -> np.ndarray:
-        neighbors, seg_starts, counts = _flat_neighborhoods(
-            self.indptr, self.indices, active
-        )
-        if neighbors.size == 0:
-            return np.minimum(np.asarray(est[active], dtype=np.int64), 0)
-        vals = est[neighbors]
-        clipped = np.minimum(vals, np.repeat(est[active], counts))
-        seg_ids = np.repeat(
-            np.arange(active.size, dtype=np.int64), counts
-        )
-        # Sort each segment descending; H = #{j : sorted_desc[j] > j}.
-        order = np.lexsort((-clipped, seg_ids))
-        ranks = np.arange(neighbors.size, dtype=np.int64) - np.repeat(
-            seg_starts, counts
-        )
-        hits = clipped[order] > ranks
-        return np.bincount(
-            seg_ids[hits], minlength=active.size
-        ).astype(np.int64)
-
     def next_active(
         self, changed: np.ndarray, lo: int, hi: int
     ) -> np.ndarray:
@@ -145,14 +96,9 @@ class RoundKernels:
                 run_mark_dirty(
                     self.indptr, self.indices, changed, self.dirty
                 )
-            elif self.mode == REFERENCE:
+            else:
                 for v in changed:
                     v = int(v)
                     row = self.indices[self.indptr[v] : self.indptr[v + 1]]
                     self.dirty[np.asarray(row)] = 1
-            else:
-                neighbors, _, _ = _flat_neighborhoods(
-                    self.indptr, self.indices, changed
-                )
-                self.dirty[neighbors] = 1
         return lo + np.nonzero(self.dirty[lo:hi])[0].astype(np.int64)

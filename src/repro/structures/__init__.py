@@ -1,9 +1,8 @@
-"""Concurrent data structures: hash bag, hash table, bucketing structures."""
+"""Concurrent data structures: hash bag and bucketing structures."""
 
 from repro.structures.buckets_base import BucketStructure
 from repro.structures.fixed_buckets import DEFAULT_NUM_BUCKETS, FixedBuckets
 from repro.structures.hash_bag import DEFAULT_LAMBDA, HashBag
-from repro.structures.hash_table import PhaseConcurrentHashTable
 from repro.structures.integer_pq import MonotoneIntPQ, dial_sssp
 from repro.structures.hbs import (
     ADAPTIVE_THETA,
@@ -27,7 +26,6 @@ __all__ = [
     "MonotoneIntPQ",
     "HierarchicalBuckets",
     "NullBuckets",
-    "PhaseConcurrentHashTable",
     "SINGLE_KEY_BUCKETS",
     "SingleBucket",
     "bucket_index",

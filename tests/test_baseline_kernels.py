@@ -1,16 +1,17 @@
-"""Kernel equivalence for the baseline engines (pkc / park / julienne).
+"""Kernel equivalence for the baseline engines and the H-index solver.
 
-PR 8 routed the baselines' hot loops through the shared flat kernels:
-PKC's per-round chain drain became one batched wave-decomposition call
-(``pkc_chain_drain`` / its embedded-C twin), and ParK's and Julienne's
-scan-frontier rounds go through ``threshold_frontier`` /
-``scan_peel_round``.  The ``REPRO_KERNELS`` switch must therefore be
-unobservable for the baselines exactly as it is for our framework:
-identical coreness arrays and an identical stable metrics ledger (work,
-span, contention, subrounds) on every graph family under every mode.
+The baselines' hot loops run through the shared kernels: PKC's
+per-round chain drain is one compiled call (``pkc_chain_drain_native``),
+ParK's and Julienne's scan-frontier rounds go through
+``threshold_frontier`` / ``scan_peel_round``, and ``hindex_coreness``
+runs its rounds on the shard engine's ``RoundKernels``.  The
+``REPRO_KERNELS`` switch must therefore be unobservable for them exactly
+as it is for our framework: identical coreness arrays and an identical
+stable metrics ledger (work, span, contention, subrounds) on every graph
+family under both modes.
 
 Mirrors ``test_perf_kernels.py``: full decompositions across generator
-families x seeds, fast modes compared field-for-field against the
+families x seeds, the native tier compared field-for-field against the
 reference loops.
 """
 
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core.baselines import julienne_kcore, park_kcore, pkc_kcore
+from repro.core.locality import hindex_coreness
 from repro.generators import (
     barabasi_albert,
     erdos_renyi,
@@ -29,14 +31,7 @@ from repro.generators import (
     power_law_with_hub,
     road_like,
 )
-from repro.perf import (
-    KERNELS_ENV,
-    NATIVE,
-    REFERENCE,
-    THRESHOLD_ENV,
-    VECTORIZED,
-    native_available,
-)
+from repro.perf import KERNELS_ENV, NATIVE, REFERENCE, native_available
 from repro.runtime.cost_model import DEFAULT_COST_MODEL
 
 #: One randomized builder per generator family (seeded — the *pair* of
@@ -57,10 +52,11 @@ ENGINES = {
     "pkc": pkc_kcore,
     "park": park_kcore,
     "julienne": julienne_kcore,
+    "hindex": hindex_coreness,
 }
 
-#: The non-reference modes under test; native only where it can build.
-FAST_MODES = [VECTORIZED] + ([NATIVE] if native_available() else [])
+#: The fast tier, compared against REFERENCE where a compiler can build it.
+FAST_MODES = [NATIVE] if native_available() else []
 
 
 def _run(monkeypatch, mode: str, engine: str, family: str, seed: int):
@@ -86,28 +82,18 @@ def test_baseline_modes_bit_exact(monkeypatch, family, engine, mode):
         assert metrics_f == metrics_r, (engine, family, seed)
 
 
-@pytest.mark.parametrize("threshold", ["0", "7", "1000000"])
-def test_pkc_threshold_invariance(monkeypatch, threshold):
-    """PKC's scalar/batched wave split point never changes the payload."""
-    monkeypatch.setenv(THRESHOLD_ENV, threshold)
-    core_t, metrics_t = _run(monkeypatch, VECTORIZED, "pkc", "hub", 3)
-    monkeypatch.delenv(THRESHOLD_ENV)
-    core_d, metrics_d = _run(monkeypatch, VECTORIZED, "pkc", "hub", 3)
-    assert np.array_equal(core_t, core_d)
-    assert metrics_t == metrics_d
-
-
+@pytest.mark.skipif(not native_available(), reason="no C compiler")
 def test_pkc_contention_ledger_survives_batching(monkeypatch):
     """The contention multiset PKC reports is mode-independent.
 
-    The batched drain counts per-target decrement multiplicities with a
+    The compiled drain counts per-target decrement multiplicities with a
     scratch first-touch pass rather than replaying each atomic; the
     max/sum the ledger consumes must still match the reference exactly.
     """
     graph = GRAPHS["hub"](3)
     monkeypatch.setenv(KERNELS_ENV, REFERENCE)
     ref = pkc_kcore(graph, DEFAULT_COST_MODEL)
-    monkeypatch.setenv(KERNELS_ENV, VECTORIZED)
+    monkeypatch.setenv(KERNELS_ENV, NATIVE)
     fast = pkc_kcore(graph, DEFAULT_COST_MODEL)
     ref_stable = ref.metrics.to_stable_dict(DEFAULT_COST_MODEL)
     fast_stable = fast.metrics.to_stable_dict(DEFAULT_COST_MODEL)

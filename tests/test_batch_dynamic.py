@@ -9,6 +9,8 @@ the identical simulated-runtime ledger.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,12 +20,13 @@ from repro.core.batch_dynamic import BatchDynamicKCore, BatchResult
 from repro.core.dynamic import DynamicKCore
 from repro.core.verify import reference_coreness
 from repro.graphs.csr import CSRGraph
+from repro.obs import MetricsRegistry, observing
 from repro.perf import (
     AUTO,
     KERNELS_ENV,
     NATIVE,
     REFERENCE,
-    VECTORIZED,
+    kernel_mode,
     native_available,
 )
 from repro.runtime.cost_model import DEFAULT_COST_MODEL
@@ -250,9 +253,7 @@ def test_batch_result_counters(small_er):
 # ----------------------------------------------------------------------
 # Kernel-mode matrix: identical coreness AND identical ledger
 # ----------------------------------------------------------------------
-ALL_MODES = [REFERENCE, VECTORIZED, AUTO] + (
-    [NATIVE] if native_available() else []
-)
+ALL_MODES = [REFERENCE, AUTO] + ([NATIVE] if native_available() else [])
 
 
 def _replay(monkeypatch, mode, graph, batches):
@@ -279,14 +280,24 @@ def test_kernel_modes_bit_exact(monkeypatch, small_er, mode):
 
 
 def test_native_unavailable_falls_back(monkeypatch):
-    """auto must resolve to the NumPy path when no compiler exists."""
+    """Without a compiler, auto falls back to reference — loudly, once."""
+    import repro.perf as perf
     import repro.perf.native as native_mod
 
     monkeypatch.setattr(native_mod, "available", lambda: False)
+    monkeypatch.setattr(perf, "_fallback_warned", False)
     monkeypatch.setenv(KERNELS_ENV, AUTO)
+    registry = MetricsRegistry()
+    with observing(registry):
+        with pytest.warns(RuntimeWarning, match="no C compiler"):
+            assert kernel_mode() == REFERENCE
+    assert registry.value("kernel.fallback.native_unavailable") == 1.0
+    assert registry.value("kernel.mode.reference") == 1.0
     graph = CSRGraph.from_edges(5, [(0, 1), (1, 2), (2, 0)])
     engine = BatchDynamicKCore(graph)
-    engine.apply_batch(insertions=[(0, 3)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the warning is one-time
+        engine.apply_batch(insertions=[(0, 3)])
     assert_exact(engine, "auto-fallback")
     monkeypatch.setenv(KERNELS_ENV, NATIVE)
     with pytest.raises(RuntimeError, match="no C compiler"):

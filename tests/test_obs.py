@@ -389,12 +389,12 @@ class TestSubsystemCounters:
     def test_kernel_mode_counters(self, monkeypatch):
         from repro.perf import kernel_mode
 
-        monkeypatch.setenv("REPRO_KERNELS", "vectorized")
+        monkeypatch.setenv("REPRO_KERNELS", "reference")
         registry = MetricsRegistry()
         with observing(registry):
             kernel_mode()
             kernel_mode()
-        assert registry.value("kernel.mode.vectorized") == 2.0
+        assert registry.value("kernel.mode.reference") == 2.0
 
     def test_graph_cache_counters(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_GRAPH_CACHE", str(tmp_path))
@@ -411,7 +411,7 @@ class TestSubsystemCounters:
     def test_bench_summary_caches_section(self, tmp_path):
         cache = DiskCache(str(tmp_path / "bench"))
         cells = [
-            BenchCell("ours", "GRID", size="tiny", kernels="vectorized")
+            BenchCell("ours", "GRID", size="tiny", kernels="native")
         ]
         registry = MetricsRegistry()
         with observing(registry):
@@ -425,7 +425,7 @@ class TestSubsystemCounters:
 
     def test_cached_payloads_identical_with_metrics(self, tmp_path):
         cells = [
-            BenchCell("bz", "GRID", size="tiny", kernels="vectorized")
+            BenchCell("bz", "GRID", size="tiny", kernels="native")
         ]
         plain = execute(cells, cache=DiskCache(str(tmp_path / "a")))
         with observing(MetricsRegistry()):
@@ -447,7 +447,7 @@ class TestSubsystemCounters:
 # The trend gate
 # ----------------------------------------------------------------------
 def make_report(walls: dict[tuple[str, str], float], size="tiny",
-                kernels="vectorized") -> dict:
+                kernels="native") -> dict:
     return {
         "schema_version": 4,
         "cells": [
@@ -524,7 +524,7 @@ class TestTrendGate:
 
     def test_kernel_mode_relaxed_matching(self):
         old = make_report(self.BASE, kernels="native")
-        new = make_report(self.BASE, kernels="vectorized")
+        new = make_report(self.BASE, kernels="reference")
         result = diff_reports(old, new)
         assert result["cells_matched"] == 3
 

@@ -1,10 +1,10 @@
-"""Kernel equivalence: the vectorized/native peel kernels vs the reference.
+"""Kernel equivalence: the native peel kernels vs the reference loops.
 
-The ``REPRO_KERNELS`` switch selects between three implementations of the
+The ``REPRO_KERNELS`` switch selects between two implementations of the
 VGC task loop that must be *bit-exact*: identical coreness arrays and an
 identical stable metrics ledger (work, span, contention, subrounds, RNG
 consumption) on every graph family, with and without sampling.  These
-tests run full decompositions under every mode and compare everything;
+tests run full decompositions under both modes and compare everything;
 the regression goldens enforce the same property on the pinned matrix.
 """
 
@@ -25,14 +25,10 @@ from repro.generators import (
 )
 from repro.perf import (
     AUTO,
-    DEFAULT_KERNEL_THRESHOLD,
     KERNELS_ENV,
     NATIVE,
     REFERENCE,
-    THRESHOLD_ENV,
-    VECTORIZED,
     kernel_mode,
-    kernel_threshold,
     native_available,
 )
 from repro.runtime.cost_model import DEFAULT_COST_MODEL
@@ -60,8 +56,8 @@ CONFIGS = {
     "flat": FrameworkConfig(),
 }
 
-#: The non-reference modes under test; native only where it can build.
-FAST_MODES = [VECTORIZED] + ([NATIVE] if native_available() else [])
+#: The fast tier, compared against REFERENCE where a compiler can build it.
+FAST_MODES = [NATIVE] if native_available() else []
 
 
 def _run(monkeypatch, mode: str, family: str, seed: int, config_name: str):
@@ -89,26 +85,15 @@ def test_modes_bit_exact(monkeypatch, family, config_name, mode):
         assert metrics_f == metrics_r, (family, config_name, seed)
 
 
-@pytest.mark.parametrize("threshold", ["0", "7", "1000000"])
-def test_threshold_invariance(monkeypatch, threshold):
-    """The scalar/vectorized split point never changes the payload."""
-    monkeypatch.setenv(THRESHOLD_ENV, threshold)
-    core_t, metrics_t = _run(monkeypatch, VECTORIZED, "hub", 3, "vgc-sample")
-    monkeypatch.delenv(THRESHOLD_ENV)
-    core_d, metrics_d = _run(monkeypatch, VECTORIZED, "hub", 3, "vgc-sample")
-    assert np.array_equal(core_t, core_d)
-    assert metrics_t == metrics_d
-
-
 def test_default_mode_resolves(monkeypatch):
     monkeypatch.delenv(KERNELS_ENV, raising=False)
-    expected = NATIVE if native_available() else VECTORIZED
+    expected = NATIVE if native_available() else REFERENCE
     assert kernel_mode() == expected
 
 
 def test_auto_mode_resolves(monkeypatch):
     monkeypatch.setenv(KERNELS_ENV, AUTO)
-    assert kernel_mode() in (NATIVE, VECTORIZED)
+    assert kernel_mode() in (NATIVE, REFERENCE)
 
 
 def test_mode_env_roundtrip(monkeypatch):
@@ -117,19 +102,8 @@ def test_mode_env_roundtrip(monkeypatch):
 
 
 def test_unknown_mode_rejected(monkeypatch):
-    monkeypatch.setenv(KERNELS_ENV, "turbo")
-    with pytest.raises(ValueError, match="REPRO_KERNELS"):
-        kernel_mode()
-
-
-def test_threshold_env(monkeypatch):
-    monkeypatch.delenv(THRESHOLD_ENV, raising=False)
-    assert kernel_threshold() == DEFAULT_KERNEL_THRESHOLD
-    monkeypatch.setenv(THRESHOLD_ENV, "64")
-    assert kernel_threshold() == 64
-    monkeypatch.setenv(THRESHOLD_ENV, "-3")
-    with pytest.raises(ValueError, match=THRESHOLD_ENV):
-        kernel_threshold()
-    monkeypatch.setenv(THRESHOLD_ENV, "many")
-    with pytest.raises(ValueError, match=THRESHOLD_ENV):
-        kernel_threshold()
+    # ``vectorized`` named the retired flat-NumPy tier.
+    for mode in ("turbo", "vectorized"):
+        monkeypatch.setenv(KERNELS_ENV, mode)
+        with pytest.raises(ValueError, match="REPRO_KERNELS"):
+            kernel_mode()

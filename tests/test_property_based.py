@@ -12,7 +12,6 @@ from repro.core.subgraph import max_kcore_subgraph
 from repro.core.verify import check_core_membership, reference_coreness
 from repro.graphs.csr import CSRGraph
 from repro.structures.hash_bag import HashBag
-from repro.structures.hash_table import PhaseConcurrentHashTable
 from repro.structures.hbs import bucket_index, interval_layout
 
 SLOW = settings(
@@ -122,20 +121,6 @@ class TestHashBagProperties:
         got_second = sorted(bag.extract_all().tolist())
         assert got_first == sorted(first)
         assert got_second == sorted(second)
-
-
-class TestHashTableProperties:
-    @settings(max_examples=50, deadline=None)
-    @given(st.dictionaries(st.integers(0, 10_000), st.integers(0, 100)))
-    def test_behaves_like_dict(self, mapping):
-        table = PhaseConcurrentHashTable(max(len(mapping), 1))
-        for key, value in mapping.items():
-            table.insert(key, value)
-        assert len(table) == len(mapping)
-        for key, value in mapping.items():
-            assert table.lookup(key) == value
-        keys, values = table.items()
-        assert dict(zip(keys.tolist(), values.tolist())) == mapping
 
 
 class TestHBSLayoutProperties:

@@ -20,7 +20,7 @@ from repro.generators import (
     star_graph,
     suite,
 )
-from repro.perf import KERNELS_ENV, REFERENCE
+from repro.perf import KERNELS_ENV, NATIVE, REFERENCE, native_available
 from repro.runtime.cost_model import DEFAULT_COST_MODEL
 
 
@@ -46,11 +46,12 @@ class TestBZ:
             assert np.array_equal(core_ref, core_flat), name
             assert ops_ref == ops_flat, name
 
+    @pytest.mark.skipif(not native_available(), reason="no C compiler")
     def test_bz_core_ledger_identical_across_modes(self, monkeypatch):
         graph = suite.load("LJ-S", tiny=True)
         monkeypatch.setenv(KERNELS_ENV, REFERENCE)
         ref = bz_core(graph)
-        monkeypatch.setenv(KERNELS_ENV, "vectorized")
+        monkeypatch.setenv(KERNELS_ENV, NATIVE)
         flat = bz_core(graph)
         assert np.array_equal(ref.coreness, flat.coreness)
         assert ref.metrics.to_stable_dict(

@@ -24,7 +24,7 @@ import pytest
 from repro.core.sequential import bz_core
 from repro.generators import erdos_renyi, grid_2d, hcns, power_law_with_hub
 from repro.graphs.io import load_npz, save_npz
-from repro.perf import NATIVE, REFERENCE, VECTORIZED, native_available
+from repro.perf import NATIVE, REFERENCE, native_available
 from repro.runtime.cost_model import DEFAULT_COST_MODEL
 from repro.shard import (
     RoundKernels,
@@ -103,10 +103,7 @@ class TestPartition:
 # ----------------------------------------------------------------------
 class TestRoundKernels:
     def modes(self):
-        modes = [REFERENCE, VECTORIZED]
-        if native_available():
-            modes.append(NATIVE)
-        return modes
+        return [REFERENCE] + ([NATIVE] if native_available() else [])
 
     def test_first_round_matches_reference_in_every_mode(self):
         for g in small_graphs():

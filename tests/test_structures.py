@@ -1,4 +1,4 @@
-"""Tests for the concurrent structures: hash bag, hash table, buckets."""
+"""Tests for the concurrent structures: hash bag, buckets."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from repro.structures import (
     HashBag,
     HierarchicalBuckets,
     NullBuckets,
-    PhaseConcurrentHashTable,
     SingleBucket,
     bucket_index,
     bucket_indices,
@@ -92,45 +91,6 @@ class TestHashBag:
         bag.insert_many(np.arange(10, dtype=np.int64))
         bag.extract_all()
         assert rt.metrics.work > 0
-
-
-class TestHashTable:
-    def test_insert_lookup(self):
-        table = PhaseConcurrentHashTable(10)
-        assert table.insert(5, 50)
-        assert not table.insert(5, 51)  # idempotent, value updated
-        assert table.lookup(5) == 51
-        assert table.lookup(6) is None
-
-    def test_contains(self):
-        table = PhaseConcurrentHashTable(10)
-        table.insert(3)
-        assert table.contains(3)
-        assert not table.contains(4)
-
-    def test_growth(self):
-        table = PhaseConcurrentHashTable(4)
-        for v in range(200):
-            table.insert(v, v * 2)
-        assert len(table) == 200
-        for v in range(200):
-            assert table.lookup(v) == v * 2
-
-    def test_keys_and_items(self):
-        table = PhaseConcurrentHashTable(10)
-        for v in (3, 1, 4):
-            table.insert(v, v + 10)
-        assert sorted(table.keys().tolist()) == [1, 3, 4]
-        keys, values = table.items()
-        assert dict(zip(keys.tolist(), values.tolist())) == {
-            1: 11, 3: 13, 4: 14,
-        }
-
-    def test_negative_key_rejected(self):
-        with pytest.raises(ValueError):
-            PhaseConcurrentHashTable(4).insert(-3)
-        with pytest.raises(ValueError):
-            PhaseConcurrentHashTable(-1)
 
 
 class TestIntervalLayout:

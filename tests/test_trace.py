@@ -324,7 +324,7 @@ class TestBenchTracing:
             [self.CELL], cache=cache, trace_dir=trace_dir, progress=True
         )
         err = capsys.readouterr().err
-        assert "bench: [1/1] ours/GRID/tiny/vectorized ran" in err
+        assert "bench: [1/1] ours/GRID/tiny/native ran" in err
         (record,) = report["cells"]
         assert record["trace"] == trace_path(self.CELL, trace_dir)
         assert json.loads(open(record["trace"]).read())["traceEvents"]
