@@ -16,6 +16,7 @@ from repro.core.peel_online import OnlinePeel
 from repro.core.state import PeelState
 from repro.core.vgc import VGCConfig
 from repro.graphs.csr import CSRGraph
+from repro.primitives.bitops import sorted_unique
 from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.runtime.simulator import SimRuntime
 from repro.structures.single_bucket import SingleBucket
@@ -44,7 +45,7 @@ class PeelingProfile:
         mask = self.round_of == k
         if not mask.any():
             return 0
-        waves = np.unique(self.wave[mask])
+        waves = sorted_unique(self.wave[mask])
         return int(waves.size)
 
 

@@ -54,7 +54,7 @@ from repro.core.verify import reference_coreness
 from repro.graphs.csr import CSRGraph
 from repro.obs.registry import SIZE_BOUNDARIES
 from repro.perf import REFERENCE, kernel_mode
-from repro.primitives.bitops import sorted_member_mask
+from repro.primitives.bitops import sorted_member_mask, sorted_unique
 from repro.runtime.atomics import batch_decrement
 from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.runtime.simulator import SimRuntime
@@ -128,7 +128,7 @@ class BatchResult:
             return self.lowered
         if self.lowered.size == 0:
             return self.raised
-        return np.unique(np.concatenate([self.raised, self.lowered]))
+        return sorted_unique(np.concatenate([self.raised, self.lowered]))
 
 
 class BatchDynamicKCore:
@@ -341,13 +341,13 @@ class BatchDynamicKCore:
             )
         lo = np.minimum(arr[:, 0], arr[:, 1])
         hi = np.maximum(arr[:, 0], arr[:, 1])
-        return np.unique(lo * np.int64(self.n) + hi)
+        return sorted_unique(lo * np.int64(self.n) + hi)
 
     def _endpoints(self, canonical_keys: np.ndarray) -> np.ndarray:
         """Sorted unique endpoints of canonical arc keys."""
         lo = canonical_keys // self.n
         hi = canonical_keys % self.n
-        return np.unique(np.concatenate([lo, hi]))
+        return sorted_unique(np.concatenate([lo, hi]))
 
     def _both_directions(self, canonical_keys: np.ndarray) -> np.ndarray:
         """Sorted arc keys of both directions of canonical edges."""
@@ -450,7 +450,7 @@ class BatchDynamicKCore:
             vmask = np.zeros(dirty.size, dtype=bool)
             vmask[viol_idx] = True
             spread = targets[vmask[seg]]
-            dirty = np.unique(np.concatenate([viol, spread]))
+            dirty = sorted_unique(np.concatenate([viol, spread]))
             runtime.parallel_for(
                 model.bag_insert_op,
                 count=int(dirty.size),
@@ -459,7 +459,7 @@ class BatchDynamicKCore:
             )
         if not lowered:
             return _EMPTY
-        return np.unique(np.concatenate(lowered))
+        return sorted_unique(np.concatenate(lowered))
 
     # ------------------------------------------------------------------
     # Insertion fixpoint (labels are lower bounds; peel subcores upward)
@@ -479,7 +479,7 @@ class BatchDynamicKCore:
         raised: list[np.ndarray] = []
         while seeds.size:
             risers_round: list[np.ndarray] = []
-            levels = np.unique(self.coreness[seeds])
+            levels = sorted_unique(self.coreness[seeds])
             for r in levels.tolist():
                 roots = seeds[self.coreness[seeds] == r]
                 if roots.size == 0:
@@ -493,11 +493,11 @@ class BatchDynamicKCore:
                     risers_round.append(risers)
             if not risers_round:
                 break
-            seeds = np.unique(np.concatenate(risers_round))
+            seeds = sorted_unique(np.concatenate(risers_round))
             raised.append(seeds)
         if not raised:
             return _EMPTY
-        return np.unique(np.concatenate(raised))
+        return sorted_unique(np.concatenate(raised))
 
     def _subcore(
         self, roots: np.ndarray, r: int, stream
@@ -529,7 +529,7 @@ class BatchDynamicKCore:
                 tag="dyn_subcore",
             )
             fresh = (self.coreness[targets] == r) & ~visited[targets]
-            nxt = np.unique(targets[fresh])
+            nxt = sorted_unique(targets[fresh])
             if nxt.size == 0:
                 break
             visited[nxt] = True

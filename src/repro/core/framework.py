@@ -37,7 +37,7 @@ from repro.core.vgc import DEFAULT_QUEUE_SIZE, VGCConfig
 from repro.errors import SamplingRestartError
 from repro.graphs.csr import CSRGraph
 from repro.obs.registry import active_registry
-from repro.primitives.bitops import sorted_member_mask
+from repro.primitives.bitops import sorted_member_mask, sorted_unique
 from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.runtime.metrics import RunMetrics
 from repro.runtime.simulator import SimRuntime, active_tracer
@@ -260,7 +260,7 @@ def _run_once(
                 buckets.on_decrements(rejected)
             frontier = frontier[keep]
             if not canonical:
-                frontier = np.unique(frontier)
+                frontier = sorted_unique(frontier)
 
         while frontier.size:
             runtime.begin_subround(int(frontier.size))

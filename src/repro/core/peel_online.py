@@ -20,7 +20,7 @@ from repro.perf.kernels import (
     scan_peel_round,
     vgc_peel_tasks_native,
 )
-from repro.primitives.bitops import sorted_member_mask
+from repro.primitives.bitops import sorted_member_mask, sorted_unique
 from repro.runtime.atomics import batch_decrement
 
 
@@ -275,7 +275,7 @@ def _resample_and_rebucket(
 ) -> np.ndarray:
     """Resample saturated samplers; rebucket survivors; return the lows."""
     assert state.sampling is not None
-    saturated = np.unique(saturated)
+    saturated = sorted_unique(saturated)
     before = state.dtilde[saturated]
     low = state.sampling.resample_bulk(saturated, k, assume_unique=True)
     # One sorted-membership pass serves both the survivor selection and
@@ -302,7 +302,7 @@ def _merge_frontier(
     no-resample case needs no canonicalization pass at all.
     """
     if resampled_low.size:
-        merged = np.unique(np.concatenate([crossed, resampled_low]))
+        merged = sorted_unique(np.concatenate([crossed, resampled_low]))
     elif crossed.size:
         # ``crossed`` is duplicate-free in every producer — exactly one
         # decrement takes a vertex from ``k + 1`` to ``k``, and that

@@ -33,6 +33,8 @@ import numpy as np
 
 from repro.errors import SamplingRestartError
 from repro.graphs.csr import CSRGraph
+from repro.perf.kernels import recount_alive
+from repro.primitives.bitops import sorted_unique
 from repro.runtime.atomics import batch_increment_clamped
 from repro.runtime.simulator import SimRuntime
 
@@ -203,7 +205,7 @@ class SamplingState:
         """
         vertices = np.asarray(vertices, dtype=np.int64)
         if not assume_unique:
-            vertices = np.unique(vertices)
+            vertices = sorted_unique(vertices)
         if vertices.size == 0:
             return vertices
         vertices = vertices[self.mode[vertices]]
@@ -213,20 +215,10 @@ class SamplingState:
         self.runtime.metrics.resamples += int(vertices.size)
 
         # Exact recount: number of unpeeled neighbors (Alg. 5 line 19).
-        neighbors = self.graph.gather_neighbors(vertices)
+        exact = recount_alive(self.graph, self.peeled, vertices)
         lengths = (
             self.graph.indptr[vertices + 1] - self.graph.indptr[vertices]
         )
-        alive = (~self.peeled[neighbors]).astype(np.int64)
-        if alive.size:
-            bounds = np.concatenate(([0], np.cumsum(lengths)))
-            # reduceat needs indices < len(alive); zero-length segments are
-            # clamped and overwritten below.
-            starts = np.minimum(bounds[:-1], alive.size - 1)
-            exact = np.add.reduceat(alive, starts)
-            exact[lengths == 0] = 0
-        else:
-            exact = np.zeros(vertices.size, dtype=np.int64)
         # The per-vertex recount is itself a parallel reduce over N(v)
         # (logarithmic span), so the step span is not the largest degree.
         recount_work = float(lengths.sum()) * self.runtime.model.edge_op
@@ -273,21 +265,9 @@ class SamplingState:
         assert self._coreness_view is not None, (
             "framework must call attach_coreness before peeling"
         )
-        coreness_now = self._coreness_view
-        neighbors = self.graph.gather_neighbors(vertices)
-        lengths = (
-            self.graph.indptr[vertices + 1] - self.graph.indptr[vertices]
+        counts = recount_alive(
+            self.graph, self.peeled, vertices, self._coreness_view, k
         )
-        ok = (
-            (~self.peeled[neighbors]) | (coreness_now[neighbors] >= k)
-        ).astype(np.int64)
-        if ok.size:
-            bounds = np.concatenate(([0], np.cumsum(lengths)))
-            starts = np.minimum(bounds[:-1], ok.size - 1)
-            counts = np.add.reduceat(ok, starts)
-            counts[lengths == 0] = 0
-        else:
-            counts = np.zeros(vertices.size, dtype=np.int64)
         return bool(np.any(counts < k))
 
     def attach_coreness(self, coreness: np.ndarray) -> None:

@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.errors import GraphFormatError, InvalidGraphError
+from repro.primitives.bitops import sorted_unique
 
 
 class CSRGraph:
@@ -107,7 +108,7 @@ class CSRGraph:
             )
         # Deduplicate arcs via a fused key sort.
         key = src * np.int64(n) + dst
-        key = np.unique(key)
+        key = sorted_unique(key)
         src = key // n
         dst = key % n
 
@@ -201,7 +202,7 @@ class CSRGraph:
         Used to materialize a specific ``G_k`` from a decomposition and by
         the max k'-core extraction of Appendix B.
         """
-        vertices = np.unique(np.asarray(vertices, dtype=np.int64))
+        vertices = sorted_unique(np.asarray(vertices, dtype=np.int64))
         keep = np.zeros(self.n, dtype=bool)
         keep[vertices] = True
         relabel = np.full(self.n, -1, dtype=np.int64)

@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.errors import GraphFormatError
 from repro.graphs.csr import CSRGraph
+from repro.primitives.bitops import sorted_unique
 
 
 class DirectedCSRGraph:
@@ -35,7 +36,7 @@ class DirectedCSRGraph:
         keep = arr[:, 0] != arr[:, 1]
         arr = arr[keep]
         # Deduplicate arcs.
-        key = np.unique(arr[:, 0] * np.int64(max(n, 1)) + arr[:, 1])
+        key = sorted_unique(arr[:, 0] * np.int64(max(n, 1)) + arr[:, 1])
         src = key // max(n, 1)
         dst = key % max(n, 1)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
+from repro.primitives.bitops import sorted_unique
 
 #: Average-degree threshold separating dense from sparse graphs; the same
 #: constant the final HBS design switches at (paper Sec. 5.3).
@@ -84,7 +85,7 @@ def connected_components(graph: CSRGraph) -> np.ndarray:
         while frontier.size:
             neighbors = graph.gather_neighbors(frontier)
             fresh = neighbors[labels[neighbors] == -1]
-            fresh = np.unique(fresh)
+            fresh = sorted_unique(fresh)
             labels[fresh] = current
             frontier = fresh
         current += 1

@@ -24,8 +24,9 @@ evidence, matching how real kernels here are written:
 * a slice or boolean-mask index (``arr[mask] = ...`` writes each
   location at most once);
 * an index produced by ``np.unique`` / ``np.nonzero`` /
-  ``np.flatnonzero`` / ``np.where`` / ``np.arange`` (distinct by
-  construction), directly or through a local variable.
+  ``np.flatnonzero`` / ``np.where`` / ``np.arange`` or the project's
+  ``sorted_unique`` (distinct by construction), directly or through a
+  local variable.
 
 Unproven writes bypass contention accounting — the mutation happens but
 its contention never reaches the span, so burdened-span figures
@@ -52,9 +53,9 @@ from repro.lint.engine.callgraph import BATCH_HELPERS
 from repro.lint.finding import Finding
 from repro.lint.registry import rule
 
-#: Index-producing numpy calls whose result holds distinct locations.
+#: Index-producing calls whose result holds distinct locations.
 _DISJOINT_PRODUCERS = frozenset(
-    {"unique", "nonzero", "flatnonzero", "where", "arange"}
+    {"unique", "sorted_unique", "nonzero", "flatnonzero", "where", "arange"}
 )
 
 

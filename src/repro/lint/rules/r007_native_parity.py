@@ -2,14 +2,14 @@
 
 :mod:`repro.perf.native` embeds C transcriptions of the hot peel loops
 (the VGC task loop, the PKC chain drain, the fused scan/peel, the
-frontier scan) and drives them through ``ctypes``;
-:mod:`repro.perf.kernels` prices the per-task counters they return with
-dyadic closed forms (``vertex_op * nv + edge_op * ne + ...``).  Nothing
-executes across that boundary at lint time, so nothing *types* it —
-a reordered argument, a widened counters array, or a cost constant that
-stops being a dyadic rational would ship silently and corrupt the
-work/span ledger (or the goldens) in ways no unit test of either side
-alone can see.
+frontier scan, the sampling recount, the H-index round) and drives them
+through ``ctypes``; :mod:`repro.perf.kernels` prices the per-task
+counters they return with dyadic closed forms (``vertex_op * nv +
+edge_op * ne + ...``).  Nothing executes across that boundary at lint
+time, so nothing *types* it — a reordered argument, a widened counters
+array, or a cost constant that stops being a dyadic rational would ship
+silently and corrupt the work/span ledger (or the goldens) in ways no
+unit test of either side alone can see.
 
 R007 cross-checks the artifacts syntactically, per embedded kernel,
 anchoring each finding in the file whose edit would fix it:

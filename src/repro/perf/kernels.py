@@ -9,10 +9,11 @@ stream — which the regression goldens and the kernel-equivalence
 property tests enforce.  The same treatment extends to the baseline
 engines: the PKC chain drain (:func:`pkc_chain_drain_native`), the fused
 scan/peel subround that ParK, Julienne and the plain online peel share
-(:func:`scan_peel_round`), and the full-array frontier scans
-(:func:`threshold_frontier`).  The last two have no separate reference
-loop: outside ``native`` mode they evaluate the reference NumPy
-expression itself.
+(:func:`scan_peel_round`), the full-array frontier scans
+(:func:`threshold_frontier`), and the sampling scheme's neighborhood
+recount (:func:`recount_alive`).  The last three have no separate
+reference loop: outside ``native`` mode they evaluate the reference
+NumPy expression itself.
 
 The exactness argument of the VGC wrapper, per mechanism:
 
@@ -40,7 +41,7 @@ The exactness argument of the VGC wrapper, per mechanism:
   because every pinned cost model uses dyadic-rational constants (see
   docs/PERFORMANCE.md).  Aggregation orderings the kernels change
   (contention multisets, touched sets, bucket updates, frontier merges)
-  are all canonicalized downstream (``np.unique``) or order-insensitive.
+  are all canonicalized downstream (a sort) or order-insensitive.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ class KernelScratch:
     def __init__(self, graph) -> None:
         self._n = int(graph.n)
         self._cap = int(graph.indices.size)
-        self._dec: np.ndarray | None = None
         self._enc: np.ndarray | None = None
         self._nf: np.ndarray | None = None
         self._queue: np.ndarray | None = None
@@ -81,14 +81,8 @@ class KernelScratch:
         self._ptrs: dict[int, tuple[np.ndarray, int]] = {}
         self._views: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def dec_buf(self) -> np.ndarray:
-        """Decrement-stream buffer (capacity: the total degree sum)."""
-        if self._dec is None:
-            self._dec = np.empty(self._cap, dtype=np.int64)
-        return self._dec
-
     def enc_buf(self) -> np.ndarray:
-        """Sampled-encounter-stream buffer (same capacity bound)."""
+        """Sampled-encounter-stream buffer (capacity: the degree sum)."""
         if self._enc is None:
             self._enc = np.empty(self._cap, dtype=np.int64)
         return self._enc
@@ -251,7 +245,7 @@ def vgc_peel_tasks_native(
     model = state.runtime.model
     mode, rate, cnt, rng, mu = _sampling_arrays(state)
     scratch = get_scratch(state)
-    _, enc, next_frontier, nv, ne, ns, ls_hits, marks = (
+    enc, next_frontier, nv, ne, ns, ls_hits, marks = (
         native.run_task_loop(
             graph,
             state.dtilde,
@@ -271,8 +265,8 @@ def vgc_peel_tasks_native(
         model.vertex_op * nv + model.edge_op * ne + model.sample_flip_op * ns
     )
     # The kernel counted decrements first-touch style into the scratch
-    # counters; sorting the distinct marks reproduces ``np.unique`` of
-    # the full dec stream without rescanning it.
+    # counters; sorting the distinct marks gives the sorted distinct
+    # targets without ever materializing the decrement stream.
     count_arr = scratch.count_buf()
     touched = np.sort(marks)
     counts = count_arr[touched].copy()
@@ -402,6 +396,44 @@ def scan_peel_round(state, frontier: np.ndarray, k: int) -> DecrementOutcome:
         )
     targets = graph.gather_neighbors(frontier)
     return batch_decrement(state.dtilde, targets, k)
+
+
+def recount_alive(
+    graph,
+    peeled: np.ndarray,
+    vertices: np.ndarray,
+    coreness: np.ndarray | None = None,
+    k: int = 0,
+) -> np.ndarray:
+    """Per vertex of ``vertices``: how many of its neighbors are unpeeled.
+
+    Alg. 5's RESAMPLE recount (line 19).  With ``coreness`` it is the
+    Sec. 4.1.4 retrospective check instead: a peeled neighbor also
+    counts when its coreness is at least ``k``.  Repeated and unsorted
+    vertices are each counted on their own.  The native flavor counts
+    in one C pass per neighborhood; the fallback is the reference
+    expression, a gather of every neighborhood summed per vertex with
+    ``np.add.reduceat``.
+    """
+    vertices = np.asarray(vertices, dtype=np.int64)
+    if kernel_mode() == NATIVE:
+        from repro.perf import native
+
+        return native.run_recount(graph, peeled, vertices, coreness, k)
+    neighbors = graph.gather_neighbors(vertices)
+    ok = ~peeled[neighbors]
+    if coreness is not None:
+        ok |= coreness[neighbors] >= k
+    if ok.size == 0:
+        return np.zeros(vertices.size, dtype=np.int64)
+    lengths = graph.indptr[vertices + 1] - graph.indptr[vertices]
+    bounds = np.concatenate(([0], np.cumsum(lengths)))
+    # reduceat needs indices < len(ok); zero-length segments are clamped
+    # and overwritten below.
+    starts = np.minimum(bounds[:-1], ok.size - 1)
+    counts = np.add.reduceat(ok.astype(np.int64), starts)
+    counts[lengths == 0] = 0
+    return counts
 
 
 def threshold_frontier(

@@ -63,7 +63,6 @@ void vgc_peel_tasks(
     int64_t budget,
     int64_t edge_budget,
     int64_t *queue,           /* scratch, capacity >= budget */
-    int64_t *dec_out,         /* decrement targets, stream order */
     int64_t *enc_out,         /* sampled-edge encounters, stream order */
     int64_t *nf_out,          /* crossings denied absorption */
     int64_t *scratch,         /* all-zero per-vertex decrement counters */
@@ -71,9 +70,9 @@ void vgc_peel_tasks(
     int64_t *nv_out,          /* per task: queue items processed */
     int64_t *ne_out,          /* per task: edges seen */
     int64_t *ns_out,          /* per task: sampled edges seen */
-    int64_t *counters)        /* [dec, enc, nf, local_search_hits, touched] */
+    int64_t *counters)        /* [enc, nf, local_search_hits, touched] */
 {
-    int64_t dp = 0, ep = 0, fp = 0, ls = 0, tp = 0;
+    int64_t ep = 0, fp = 0, ls = 0, tp = 0;
     int64_t k1 = k + 1;
     for (int64_t t = 0; t < n_tasks; t++) {
         int64_t head = 0, qlen = 1;
@@ -93,7 +92,6 @@ void vgc_peel_tasks(
                 }
                 int64_t old = dtilde[u];
                 dtilde[u] = old - 1;
-                dec_out[dp++] = u;
                 if (scratch[u]++ == 0)
                     touched_out[tp++] = u;
                 if (old == k1 && !peeled[u]) {
@@ -112,11 +110,10 @@ void vgc_peel_tasks(
         ne_out[t] = ne;
         ns_out[t] = ns;
     }
-    counters[0] = dp;
-    counters[1] = ep;
-    counters[2] = fp;
-    counters[3] = ls;
-    counters[4] = tp;
+    counters[0] = ep;
+    counters[1] = fp;
+    counters[2] = ls;
+    counters[3] = tp;
 }
 
 /* The PKC round drain (Kabir & Madduri 2017), transcribed from the
@@ -272,6 +269,39 @@ void mark_dirty(
     }
 }
 
+/* Alg. 5's RESAMPLE recount (line 19): for each given vertex, the number
+ * of its neighbors not yet peeled.  With a coreness array it is the
+ * Sec. 4.1.4 Las-Vegas check instead: a peeled neighbor still counts
+ * when its coreness is at least k (it was peeled in the current round).
+ * One pass over each neighborhood, nothing materialized; repeated or
+ * unsorted vertices are each counted on their own. */
+void recount_alive(
+    const int64_t *indptr,
+    const int64_t *indices,
+    const uint8_t *peeled,
+    const int64_t *coreness,  /* NULL: count unpeeled neighbors only */
+    const int64_t *vertices,
+    int64_t n_vertices,
+    int64_t k,
+    int64_t *out)             /* capacity >= n_vertices */
+{
+    for (int64_t i = 0; i < n_vertices; i++) {
+        int64_t v = vertices[i];
+        int64_t end = indptr[v + 1];
+        int64_t count = 0;
+        if (coreness) {
+            for (int64_t p = indptr[v]; p < end; p++) {
+                int64_t u = indices[p];
+                count += !peeled[u] || coreness[u] >= k;
+            }
+        } else {
+            for (int64_t p = indptr[v]; p < end; p++)
+                count += !peeled[indices[p]];
+        }
+        out[i] = count;
+    }
+}
+
 /* The full-array frontier scan of the scan-based baselines: pack every
  * unpeeled vertex with dtilde <= k, ascending (np.nonzero order). */
 void scan_frontier(
@@ -387,13 +417,14 @@ def _load() -> ctypes.CDLL | None:
         scan = lib.scan_frontier
         hind = lib.hindex_round
         dirty = lib.mark_dirty
+        recount = lib.recount_alive
     except (OSError, AttributeError):
         _available = False
         return None
     fn.restype = None
     fn.argtypes = [ctypes.c_void_p] * 7 + [ctypes.c_int64] * 4 + [
         ctypes.c_void_p
-    ] * 10
+    ] * 9
     pkc.restype = None
     pkc.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_int64] * 3 + [
         ctypes.c_void_p
@@ -412,6 +443,10 @@ def _load() -> ctypes.CDLL | None:
     ] * 2
     dirty.restype = None
     dirty.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 1 + [
+        ctypes.c_void_p
+    ] * 1
+    recount.restype = None
+    recount.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_int64] * 2 + [
         ctypes.c_void_p
     ] * 1
     _lib = lib
@@ -445,17 +480,17 @@ def run_task_loop(
     edge_budget: int,
     scratch=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-           np.ndarray, int, np.ndarray]:
+           int, np.ndarray]:
     """Run every local search of a subround in the compiled kernel.
 
     Mutates ``dtilde`` / ``peeled`` / ``coreness`` exactly like the
-    reference loop and returns ``(dec, enc, next_frontier, nv, ne, ns,
-    local_search_hits, marks)`` where ``dec`` / ``enc`` are the
-    decrement and sampled-encounter streams in task-major order, ``nv``
-    / ``ne`` / ``ns`` are the per-task item / edge / sampled-edge
-    counts, and ``marks`` is the first-touch list of distinct decrement
-    targets whose multiplicities the kernel accumulated into the
-    scratch count buffer (the caller reads and re-zeros them).  When a
+    reference loop and returns ``(enc, next_frontier, nv, ne, ns,
+    local_search_hits, marks)`` where ``enc`` is the sampled-encounter
+    stream in task-major order, ``nv`` / ``ne`` / ``ns`` are the
+    per-task item / edge / sampled-edge counts, and ``marks`` is the
+    first-touch list of distinct decrement targets whose multiplicities
+    the kernel accumulated into the scratch count buffer (the caller
+    reads and re-zeros them).  When a
     :class:`repro.perf.kernels.KernelScratch` arena is provided the flat
     buffers come from it (returned streams are views valid until the
     next kernel call on the same arena).
@@ -467,16 +502,15 @@ def run_task_loop(
     frontier = np.ascontiguousarray(frontier, dtype=np.int64)
     n_tasks = int(frontier.size)
     # Stream capacities: every queue item is expanded at most once and the
-    # item sets of distinct tasks are disjoint, so the total edge stream is
+    # item sets of distinct tasks are disjoint, so the encounter stream is
     # bounded by the degree sum of all vertices — indices.size.  Denied
     # crossings are bounded by one crossing per vertex per subround.
-    counters = np.zeros(5, dtype=np.int64)
+    counters = np.zeros(4, dtype=np.int64)
     if scratch is not None:
         # Buffer *and* pointer reuse: the run-stable arrays go through
         # the scratch pointer cache, so the per-subround call pays two
-        # ctypes conversions (frontier, counters) instead of seventeen.
+        # ctypes conversions (frontier, counters) instead of sixteen.
         sp = scratch.ptr
-        dec = scratch.dec_buf()
         enc = scratch.enc_buf() if mode is not None else _NO_ENC
         nf = scratch.nf_buf()
         queue = scratch.queue_buf(budget)
@@ -499,7 +533,6 @@ def run_task_loop(
             int(budget),
             int(edge_budget),
             sp(queue),
-            sp(dec),
             sp(enc),
             sp(nf),
             sp(count),
@@ -511,7 +544,6 @@ def run_task_loop(
         )
     else:
         cap = int(indices.size)
-        dec = np.empty(cap, dtype=np.int64)
         enc = np.empty(cap if mode is not None else 0, dtype=np.int64)
         nf = np.empty(graph.n, dtype=np.int64)
         queue = np.empty(max(int(budget), 1), dtype=np.int64)
@@ -534,7 +566,6 @@ def run_task_loop(
             int(budget),
             int(edge_budget),
             _ptr(queue),
-            _ptr(dec),
             _ptr(enc),
             _ptr(nf),
             _ptr(count),
@@ -544,9 +575,8 @@ def run_task_loop(
             _ptr(ns),
             _ptr(counters),
         )
-    dp, ep, fp, ls, tp = (int(x) for x in counters)
+    ep, fp, ls, tp = (int(x) for x in counters)
     return (
-        dec[:dp],
         enc[:ep] if mode is not None else enc,
         nf[:fp].copy(),
         nv,
@@ -675,6 +705,56 @@ def run_scan_frontier(
         _ptr(counters),
     )
     return out[: int(counters[0])].copy()
+
+
+def run_recount(
+    graph,
+    peeled: np.ndarray,
+    vertices: np.ndarray,
+    coreness: np.ndarray | None = None,
+    k: int = 0,
+) -> np.ndarray:
+    """Per vertex of ``vertices``: its unpeeled neighbors, in C.
+
+    With ``coreness`` given, peeled neighbors whose coreness is at least
+    ``k`` count too (the Las-Vegas check).  Returns a fresh int64 array
+    aligned with ``vertices``.  The C loop reads ``peeled`` as
+    contiguous bytes and ``coreness`` as contiguous int64, both of
+    length ``n``, at every neighbor of every vertex, so those layouts
+    and the vertex range are checked here first.
+    """
+    lib = _load()
+    if lib is None:  # pragma: no cover - callers check available() first
+        raise RuntimeError("native kernel unavailable")
+    n = int(graph.n)
+    for name, array, dtype in (
+        ("peeled", peeled, np.bool_),
+        ("coreness", coreness, np.int64),
+    ):
+        if array is not None and not (
+            array.dtype == dtype
+            and array.shape == (n,)
+            and array.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"{name} must be a contiguous {np.dtype(dtype)} array "
+                f"of length {n}"
+            )
+    vertices = np.ascontiguousarray(vertices, dtype=np.int64)
+    if vertices.size and (vertices.min() < 0 or vertices.max() >= n):
+        raise IndexError(f"recount vertex out of range [0, {n})")
+    out = np.empty(vertices.size, dtype=np.int64)
+    lib.recount_alive(
+        _ptr(graph.indptr),
+        _ptr(graph.indices),
+        _ptr(peeled.view(np.uint8)),
+        _ptr(coreness),
+        _ptr(vertices),
+        int(vertices.size),
+        int(k),
+        _ptr(out),
+    )
+    return out
 
 
 def run_hindex_round(

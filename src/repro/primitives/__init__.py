@@ -1,6 +1,10 @@
 """Instrumented parallel primitives: PACK, HISTOGRAM, scans, reductions."""
 
-from repro.primitives.bitops import bit_length64, sorted_member_mask
+from repro.primitives.bitops import (
+    bit_length64,
+    sorted_member_mask,
+    sorted_unique,
+)
 from repro.primitives.histogram import (
     HistogramResult,
     dense_histogram,
@@ -27,4 +31,5 @@ __all__ = [
     "reduce_max",
     "reduce_sum",
     "sorted_member_mask",
+    "sorted_unique",
 ]

@@ -36,6 +36,27 @@ def bit_length64(values: np.ndarray) -> np.ndarray:
     return out + (v > 0)
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of an integer array, flattened.
+
+    Equal to ``np.unique(values)``, dtype included, but always on the
+    sort path: one ``np.sort`` plus an adjacent-difference mask.  From
+    NumPy 2.3 plain ``np.unique`` dedupes integers through a hash table
+    first, which is several times slower than sorting from about a
+    thousand elements up (docs/PERFORMANCE.md).
+    """
+    arr = np.asarray(values).ravel()
+    if arr.dtype.kind not in "iu":
+        raise TypeError(f"sorted_unique needs integers, got {arr.dtype}")
+    if arr.size < 2:
+        return arr.copy()
+    ordered = np.sort(arr)
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def sorted_member_mask(
     values: np.ndarray, sorted_targets: np.ndarray
 ) -> np.ndarray:

@@ -94,6 +94,13 @@ class RunMetrics:
     #: Vertices processed inside VGC local searches (not via new subrounds).
     local_search_hits: int = 0
 
+    #: Running :meth:`time_on` sums per ``(threads, model)``: the step
+    #: list summed, how many of its steps, and their total.  The ledger
+    #: only grows, so a later query resumes from there.
+    _time_on_cache: dict = field(
+        default_factory=dict, compare=False, repr=False
+    )
+
     def record_parallel(
         self,
         work: float,
@@ -141,17 +148,31 @@ class RunMetrics:
         scheduling cost (``omega_time``) of its barriers.  On one thread
         the execution is sequential, so barriers cost nothing and the time
         is exactly the work.
+
+        A query resumes the previous one's running sum over the steps
+        appended since, with the same additions in the same order, so the
+        value is bit-identical to a full pass.  A ledger shorter than the
+        cached prefix, or a replaced step list, gets a full pass.
         """
         if threads == 1:
             return self.work
+        steps = self.steps
+        key = (threads, model)
+        cached = self._time_on_cache.get(key)
+        if cached is not None and cached[0] is steps and (
+            cached[1] <= len(steps)
+        ):
+            _, done, total = cached
+        else:
+            done, total = 0, 0.0
         p_eff = model.effective_cores(threads)
-        total = 0.0
-        for step in self.steps:
+        for step in steps[done:]:
             compute, sync = step_time_parts(
                 step.work, step.span, step.barriers, p_eff, model
             )
             total += compute
             total += sync
+        self._time_on_cache[key] = (steps, len(steps), total)
         return total
 
     def merge(self, other: "RunMetrics") -> None:

@@ -16,23 +16,34 @@ See docs/SHARDING.md for the protocol and the exactness argument.
 
 from __future__ import annotations
 
-from repro.shard.engine import (
-    default_workers,
-    resolve_graph_path,
-    shard_coreness,
-)
-from repro.shard.partition import ShardPlan, partition_ranges
-from repro.shard.pool import ShardPool, ShardWorkerError, graph_digest
-from repro.shard.rounds import RoundKernels
+import importlib
 
-__all__ = [
-    "RoundKernels",
-    "ShardPlan",
-    "ShardPool",
-    "ShardWorkerError",
-    "default_workers",
-    "graph_digest",
-    "partition_ranges",
-    "resolve_graph_path",
-    "shard_coreness",
-]
+#: Each export and the submodule defining it.  Resolved on first access,
+#: so importing one submodule (``core.locality`` runs its H-index rounds
+#: on ``shard.rounds``) loads neither the engine nor what it imports.
+_EXPORTS = {
+    "RoundKernels": "repro.shard.rounds",
+    "ShardPlan": "repro.shard.partition",
+    "ShardPool": "repro.shard.pool",
+    "ShardWorkerError": "repro.shard.pool",
+    "default_workers": "repro.shard.engine",
+    "graph_digest": "repro.shard.pool",
+    "partition_ranges": "repro.shard.partition",
+    "resolve_graph_path": "repro.shard.engine",
+    "shard_coreness": "repro.shard.engine",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
+from repro.primitives.bitops import sorted_unique
 from repro.structures.buckets_base import BucketStructure
 
 #: Julienne's bucket count.
@@ -103,7 +104,7 @@ class FixedBuckets(BucketStructure):
                     # Lazy deletion can in principle leave multiple live
                     # copies of a vertex; deduplicate so the peel never
                     # processes a vertex twice.
-                    return self._k, np.unique(valid)
+                    return self._k, sorted_unique(valid)
             elif self._exhausted():
                 return None
             else:

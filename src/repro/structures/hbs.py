@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
-from repro.primitives.bitops import bit_length64
+from repro.primitives.bitops import bit_length64, sorted_unique
 from repro.structures.buckets_base import BucketStructure
 from repro.structures.hash_bag import HashBag
 from repro.structures.single_bucket import SingleBucket
@@ -219,7 +219,7 @@ class HierarchicalBuckets(BucketStructure):
                 return None
             lo, hi = self._intervals[self._head]
             members = self._bags[self._head].extract_all()
-            live = np.unique(members[~self.peeled[members]])
+            live = sorted_unique(members[~self.peeled[members]])
             if live.size == 0:
                 continue
             keys = self.dtilde[live]

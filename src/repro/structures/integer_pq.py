@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import BucketStructureError
+from repro.primitives.bitops import sorted_unique
 from repro.structures.flat_table import FlatHashTable
 from repro.structures.hash_bag import HashBag
 from repro.structures.hbs import interval_layout
@@ -120,7 +121,7 @@ class MonotoneIntPQ:
                 self._los = self._los[1:]
                 continue
             lo, hi = self._intervals[0]
-            members = np.unique(self._bags[0].extract_all())
+            members = sorted_unique(self._bags[0].extract_all())
             # One bulk probe filters stale copies: a member is live iff
             # it still has a key (-1 marks absence; keys are >= 0) and
             # that key falls inside this interval.  ``members`` is

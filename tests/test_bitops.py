@@ -1,4 +1,5 @@
-"""Integer bit tricks: bit_length64, sorted_member_mask, bucket_indices.
+"""Integer bit tricks: bit_length64, sorted_member_mask, sorted_unique,
+bucket_indices.
 
 The HBS bucket map must be exact for *any* representable key: float64
 ``log2`` loses exactness near power-of-two boundaries once offsets
@@ -9,10 +10,21 @@ equivalence far past that boundary (keys up to ``2**40`` and beyond).
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from repro.primitives.bitops import bit_length64, sorted_member_mask
+import repro
+from repro.primitives.bitops import (
+    bit_length64,
+    sorted_member_mask,
+    sorted_unique,
+)
 from repro.structures.hbs import bucket_index, bucket_indices
 
 
@@ -71,6 +83,108 @@ class TestSortedMemberMask:
             np.zeros(0, dtype=np.int64), np.array([1], dtype=np.int64)
         )
         assert mask.size == 0
+
+
+class TestSortedUnique:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=st.integers(0, 10_000),
+        dtype=st.sampled_from([np.int32, np.int64]),
+        # Small spans force heavy duplication; the largest spreads out.
+        span=st.sampled_from([1, 2, 16, 1_000, 2**31 - 1]),
+        rows=st.sampled_from([0, 1, 2, 7]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_np_unique(self, size, dtype, span, rows, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(-span, span, size=size).astype(dtype)
+        if rows:
+            values = values[: size - size % rows].reshape(rows, -1)
+        got = sorted_unique(values)
+        expected = np.unique(values)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        hnp.arrays(
+            dtype=st.sampled_from([np.int32, np.int64]),
+            shape=hnp.array_shapes(min_dims=1, max_dims=2, min_side=0),
+        )
+    )
+    def test_matches_np_unique_full_range(self, values):
+        got = sorted_unique(values)
+        expected = np.unique(values)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("size", [0, 1, 2])
+    def test_returns_a_new_array(self, size):
+        values = np.arange(size, dtype=np.int64)
+        got = sorted_unique(values)
+        got[...] = -1
+        assert values.tolist() == list(range(size))
+
+    def test_rejects_floats(self):
+        with pytest.raises(TypeError):
+            sorted_unique(np.array([1.0, 1.0]))
+
+
+def _plain_unique_calls(tree: ast.Module) -> list[int]:
+    """Lines of ``np.unique(...)`` calls without ``return_counts=``."""
+    numpy_names: set[str] = set()
+    unique_names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            numpy_names.update(
+                alias.asname or alias.name
+                for alias in node.names
+                if alias.name == "numpy"
+            )
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            unique_names.update(
+                alias.asname or alias.name
+                for alias in node.names
+                if alias.name == "unique"
+            )
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        is_unique = (
+            isinstance(fn, ast.Attribute)
+            and fn.attr == "unique"
+            and isinstance(fn.value, ast.Name)
+            and fn.value.id in numpy_names
+        ) or (isinstance(fn, ast.Name) and fn.id in unique_names)
+        if is_unique and not any(
+            kw.arg == "return_counts" for kw in node.keywords
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_plain_np_unique_in_src():
+    """Plain ``np.unique`` hashes on NumPy >= 2.3; use ``sorted_unique``."""
+    root = Path(repro.__file__).parent
+    offenders = [
+        f"{path.relative_to(root)}:{line}"
+        for path in sorted(root.rglob("*.py"))
+        for line in _plain_unique_calls(ast.parse(path.read_text()))
+    ]
+    assert offenders == []
+
+
+def test_plain_unique_guard_fires():
+    tree = ast.parse(
+        "import numpy as xp\n"
+        "from numpy import unique\n"
+        "xp.unique(a)\n"
+        "unique(b)\n"
+        "xp.unique(c, return_counts=True)\n"
+    )
+    assert _plain_unique_calls(tree) == [3, 4]
 
 
 class TestBucketIndicesEquivalence:

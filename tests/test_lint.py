@@ -446,6 +446,21 @@ class TestR004SimulatedRace:
         )
         assert findings == []
 
+    def test_write_through_sorted_unique_index_is_clean(self):
+        findings = lint(
+            """
+            from repro.primitives.bitops import sorted_unique
+            from repro.runtime.atomics import batch_decrement
+
+            def peel(dtilde, frontier, k):
+                outcome = batch_decrement(dtilde, frontier, k)
+                dtilde[sorted_unique(frontier)] = k
+                return outcome.crossed
+            """,
+            select=["R004"],
+        )
+        assert findings == []
+
     def test_per_task_cost_arrays_are_not_contended(self):
         findings = lint(
             """

@@ -1,5 +1,10 @@
 """Tests for the H-index locality algorithm."""
 
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -91,3 +96,43 @@ class TestHIndexCoreness:
         assert np.array_equal(
             hindex_coreness(g).coreness, reference_coreness(g)
         )
+
+
+def test_hindex_does_not_import_the_bench():
+    """The H-index solver loads ``shard.rounds``, not the shard engine.
+
+    A fresh interpreter, because this test process has long since
+    imported everything.
+    """
+    script = (
+        "import sys\n"
+        "from repro.core.locality import hindex_coreness\n"
+        "from repro.generators import grid_2d\n"
+        "hindex_coreness(grid_2d(5, 5))\n"
+        "print(sorted(m for m in sys.modules if m.startswith("
+        "('repro.bench', 'repro.regress', 'repro.shard'))))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
+    assert not [m for m in loaded if m.startswith("repro.bench")]
+    assert not [m for m in loaded if m.startswith("repro.regress")]
+    assert loaded == ["repro.shard", "repro.shard.rounds"]
+
+
+def test_shard_exports_resolve_lazily():
+    import repro.shard as shard
+    from repro.shard import RoundKernels, shard_coreness
+
+    assert set(shard.__all__) <= set(dir(shard))
+    assert shard_coreness.__module__ == "repro.shard.engine"
+    assert RoundKernels.__module__ == "repro.shard.rounds"
+    with pytest.raises(AttributeError):
+        shard.no_such_export

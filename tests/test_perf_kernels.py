@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.framework import FrameworkConfig, decompose
+from repro.core.sampling import SamplingConfig
 from repro.generators import (
     barabasi_albert,
     erdos_renyi,
@@ -52,6 +53,14 @@ CONFIGS = {
     "vgc-sample": FrameworkConfig(vgc=True, sampling=True),
     "vgc-sample-hbs": FrameworkConfig(
         vgc=True, sampling=True, buckets="adaptive"
+    ),
+    # The default threshold keeps these small graphs out of sample mode;
+    # a tiny ``mu`` resamples on ba/er/hcns/hub and restarts on ba/hub,
+    # so both recounts and the Las-Vegas check run in both modes.
+    "vgc-sample-eager": FrameworkConfig(
+        vgc=True,
+        sampling=True,
+        sampling_config=SamplingConfig(mu=4, threshold=8),
     ),
     "flat": FrameworkConfig(),
 }
@@ -107,3 +116,75 @@ def test_unknown_mode_rejected(monkeypatch):
         monkeypatch.setenv(KERNELS_ENV, mode)
         with pytest.raises(ValueError, match="REPRO_KERNELS"):
             kernel_mode()
+
+
+def _recount_oracle(graph, peeled, vertices, coreness, k):
+    """The recount spelled out per vertex, neighbor by neighbor."""
+    out = []
+    for v in vertices.tolist():
+        count = 0
+        for u in graph.neighbors(v).tolist():
+            alive = not peeled[u]
+            if coreness is not None:
+                alive = alive or coreness[u] >= k
+            count += int(alive)
+        out.append(count)
+    return np.asarray(out, dtype=np.int64)
+
+
+def _recount_inputs(seed: int):
+    """A graph with isolated vertices and one fully peeled neighborhood."""
+    from repro.graphs.csr import CSRGraph
+
+    rng = np.random.default_rng(seed)
+    n = 60
+    edges = rng.integers(0, n - 6, size=(220, 2))  # the last 6 stay isolated
+    graph = CSRGraph.from_edges(n, edges)
+    peeled = rng.random(n) < 0.4
+    peeled[graph.neighbors(0)] = True
+    coreness = rng.integers(0, 6, size=n).astype(np.int64)
+    vertices = np.concatenate(
+        [
+            rng.integers(0, n, size=40),  # unsorted, with repeats
+            [0, 0, n - 1, n - 2, 0],  # peeled neighborhood, zero degree
+        ]
+    ).astype(np.int64)
+    return graph, peeled, coreness, vertices
+
+
+@pytest.mark.parametrize("mode", [REFERENCE, *FAST_MODES])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_recount_alive_matches_oracle(monkeypatch, mode, seed):
+    from repro.perf.kernels import recount_alive
+
+    monkeypatch.setenv(KERNELS_ENV, mode)
+    graph, peeled, coreness, vertices = _recount_inputs(seed)
+    for k in (0, 2, 5, 9):
+        for core in (None, coreness):
+            expected = _recount_oracle(graph, peeled, vertices, core, k)
+            got = recount_alive(graph, peeled, vertices, core, k)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, expected), (k, core is None)
+    assert recount_alive(graph, peeled, vertices[:0]).size == 0
+    all_peeled = np.ones(graph.n, dtype=bool)
+    assert not recount_alive(graph, all_peeled, vertices).any()
+
+
+@pytest.mark.parametrize("mode", FAST_MODES)
+def test_recount_alive_rejects_bad_input(monkeypatch, mode):
+    from repro.perf.kernels import recount_alive
+
+    monkeypatch.setenv(KERNELS_ENV, mode)
+    graph, peeled, coreness, _ = _recount_inputs(0)
+    with pytest.raises(IndexError):
+        recount_alive(graph, peeled, np.array([graph.n], dtype=np.int64))
+    with pytest.raises(IndexError):
+        recount_alive(graph, peeled, np.array([-1], dtype=np.int64))
+    with pytest.raises(ValueError, match="peeled"):
+        recount_alive(graph, peeled.astype(np.int64), np.array([0]))
+    with pytest.raises(ValueError, match="coreness"):
+        recount_alive(
+            graph, peeled, np.array([0]), coreness.astype(np.int32), 1
+        )
+    with pytest.raises(ValueError, match="coreness"):
+        recount_alive(graph, peeled, np.array([0]), coreness[::2], 1)

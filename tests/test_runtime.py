@@ -15,7 +15,7 @@ from repro.runtime.cost_model import (
     nanos_to_millis,
     nanos_to_seconds,
 )
-from repro.runtime.metrics import RunMetrics
+from repro.runtime.metrics import RunMetrics, step_time_parts
 from repro.runtime.scheduler import (
     burdened_span_speedup,
     self_relative_speedup,
@@ -90,6 +90,56 @@ class TestRunMetrics:
         m = RunMetrics()
         m.record_parallel(work=96.0, span=50.0, barriers=0)
         assert m.time_on(96) == pytest.approx(50.0)
+
+    def test_time_on_resumes_bit_exactly(self):
+        """Cached running sums equal a from-scratch sum, bit for bit."""
+        from repro.regress.matrix import COST_MODELS
+
+        def from_scratch(metrics, threads, model):
+            if threads == 1:
+                return metrics.work
+            p_eff = model.effective_cores(threads)
+            total = 0.0
+            for step in metrics.steps:
+                compute, sync = step_time_parts(
+                    step.work, step.span, step.barriers, p_eff, model
+                )
+                total += compute
+                total += sync
+            return total
+
+        def append_random(metrics, rng, count):
+            # Thirds and sevenths are inexact in binary, so a changed
+            # summation order would show in the last bits.
+            for _ in range(count):
+                if rng.random() < 0.3:
+                    metrics.record_sequential(rng.random() * 1e3 / 7)
+                else:
+                    metrics.record_parallel(
+                        work=rng.random() * 1e6 / 3,
+                        span=rng.random() * 1e3 / 7,
+                        barriers=int(rng.integers(0, 3)),
+                    )
+
+        rng = np.random.default_rng(5)
+        m = RunMetrics()
+        for batch in range(30):
+            append_random(m, rng, int(rng.integers(0, 8)))
+            if batch % 7 == 3:
+                other = RunMetrics()
+                append_random(other, rng, 5)
+                m.merge(other)
+            for model in COST_MODELS.values():
+                for threads in (1, 4, 96):
+                    assert m.time_on(threads, model) == from_scratch(
+                        m, threads, model
+                    )
+        # A ledger shorter than the cached prefix gets a full pass, and
+        # so does a replaced step list.
+        del m.steps[10:]
+        assert m.time_on(96) == from_scratch(m, 96, DEFAULT_COST_MODEL)
+        m.steps = list(reversed(m.steps))
+        assert m.time_on(96) == from_scratch(m, 96, DEFAULT_COST_MODEL)
 
     def test_merge(self):
         a, b = RunMetrics(), RunMetrics()

@@ -14,7 +14,11 @@ from repro.core.sampling import (
 from repro.core.verify import reference_coreness
 from repro.errors import SamplingRestartError
 from repro.generators import complete_graph, power_law_with_hub, star_graph
+from repro.perf import KERNELS_ENV, NATIVE, REFERENCE, native_available
 from repro.runtime.simulator import SimRuntime
+
+#: Kernel modes the recount runs under (native where a compiler builds it).
+KERNEL_MODES = [REFERENCE] + ([NATIVE] if native_available() else [])
 
 
 def _make_state(graph, config=None, k=0):
@@ -153,18 +157,20 @@ class TestResample:
 
 
 class TestLasVegasRecovery:
-    def test_error_detection_raises(self):
+    def test_error_detection_raises(self, monkeypatch):
         """A vertex whose degree silently dropped below k must be caught."""
-        g = complete_graph(300)
-        state = _make_state(g, config=SamplingConfig(threshold=128))
-        state.initialize()
-        v = 0
-        # Simulate: neighbors peeled in EARLIER rounds (coreness < k).
-        state.peeled[1:290] = True
-        # coreness stays 0 (they were peeled at low k), so at k=60 the
-        # retrospective check must flag an error.
-        with pytest.raises(SamplingRestartError):
-            state.resample_bulk(np.array([v]), k=60)
+        for mode in KERNEL_MODES:
+            monkeypatch.setenv(KERNELS_ENV, mode)
+            g = complete_graph(300)
+            state = _make_state(g, config=SamplingConfig(threshold=128))
+            state.initialize()
+            v = 0
+            # Simulate: neighbors peeled in EARLIER rounds (coreness < k).
+            state.peeled[1:290] = True
+            # coreness stays 0 (they were peeled at low k), so at k=60 the
+            # retrospective check must flag an error.
+            with pytest.raises(SamplingRestartError):
+                state.resample_bulk(np.array([v]), k=60)
 
     def test_framework_restarts_and_stays_exact(self, hub_graph):
         """Injected validation blindness forces the restart path."""
