@@ -29,16 +29,19 @@ regress:
 regress-bless:
 	PYTHONPATH=src $(PYTHON) -m repro.regress bless
 
+# The differential harness, one subject per target, each swept in every
+# kernel mode.  Engines vs BZ on the 26 tiny suite graphs.
 oracle:
-	PYTHONPATH=src $(PYTHON) -m repro.regress oracle
+	PYTHONPATH=src $(PYTHON) -m repro.regress oracle --subject engines
 
+# The batch engine vs a full recompute: SMALL x 3 profiles x 7 seeds.
 oracle-updates:
-	PYTHONPATH=src $(PYTHON) -m repro.regress oracle-updates
+	PYTHONPATH=src $(PYTHON) -m repro.regress oracle --subject updates
 
-# Shard counts {1,2,3,4,7} vs the single-process oracle: bit-equal
+# Shard counts {1,2,3,4,7} vs the single-process run: bit-equal
 # coreness and identical simulated ledger on the whole generator suite.
 oracle-shard:
-	PYTHONPATH=src $(PYTHON) -m repro.regress oracle-shard
+	PYTHONPATH=src $(PYTHON) -m repro.regress oracle --subject shard
 
 # One sharded decomposition at three worker counts; the reports must be
 # byte-identical (the worker-count invariance contract).

@@ -2,7 +2,8 @@
 
 The paper's Sec. 7 points to dynamic k-core maintenance as the natural
 companion problem.  This bench applies a batch of edge updates to a
-suite graph and compares the locality of the subcore-based maintenance
+suite graph, one edge at a time through the batch engine's per-edge
+surface, and compares the locality of the subcore-based maintenance
 (vertices touched per update) against the cost of full recomputation —
 the measurement that motivates dynamic algorithms in the first place.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis import render_table
-from repro.core.dynamic import DynamicKCore
+from repro.core.batch_dynamic import BatchDynamicKCore
 from repro.core.verify import reference_coreness
 from repro.generators import suite
 from repro.graphs.transform import all_edges
@@ -28,13 +29,13 @@ UPDATES = 200
 def run_updates(graph_name: str):
     graph = suite.load(graph_name)
     rng = np.random.default_rng(7)
-    dyn = DynamicKCore(graph)
+    dyn = BatchDynamicKCore(graph)
     edges = all_edges(graph)
     delete_picks = rng.choice(edges.shape[0], size=UPDATES // 2, replace=False)
     inserts = rng.integers(0, graph.n, size=(UPDATES // 2, 2))
     for u, v in edges[delete_picks]:
         dyn.delete_edge(int(u), int(v))
-    for u, v in inserts:
+    for u, v in inserts[inserts[:, 0] != inserts[:, 1]]:
         dyn.insert_edge(int(u), int(v))
     # Exactness after the whole batch.
     assert np.array_equal(

@@ -2,16 +2,17 @@
 
 A fraud-detection or social-feed pipeline cannot re-decompose a graph on
 every new follow/unfollow.  This example feeds a stream of edge
-insertions and deletions into :class:`repro.core.DynamicKCore`, which
-updates coreness locally via the subcore traversal, and periodically
-cross-checks against a full recomputation.
+insertions and deletions, one edge at a time, into
+:class:`repro.core.BatchDynamicKCore`, which repairs coreness locally
+(only the affected subcores are re-peeled), and cross-checks the result
+against a full recomputation.
 
 Run:  python examples/streaming_core_maintenance.py
 """
 
 import numpy as np
 
-from repro.core.dynamic import DynamicKCore
+from repro.core.batch_dynamic import BatchDynamicKCore
 from repro.core.verify import reference_coreness
 from repro.generators import barabasi_albert
 from repro.graphs.transform import all_edges
@@ -24,7 +25,7 @@ def main() -> None:
     print(f"base graph: n={graph.n:,}, edges={graph.num_edges:,}, "
           f"k_max={int(reference_coreness(graph).max())}")
 
-    dyn = DynamicKCore(graph)
+    dyn = BatchDynamicKCore(graph)
     rng = np.random.default_rng(99)
     existing = all_edges(graph)
 
@@ -33,7 +34,8 @@ def main() -> None:
     for step in range(500):
         if rng.random() < 0.5:
             u, v = (int(x) for x in rng.integers(0, graph.n, size=2))
-            total_risers += dyn.insert_edge(u, v).size
+            if u != v:  # self-loops are rejected
+                total_risers += dyn.insert_edge(u, v).size
         else:
             idx = int(rng.integers(existing.shape[0]))
             u, v = (int(x) for x in existing[idx])

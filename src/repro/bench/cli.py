@@ -7,7 +7,7 @@ Typical invocations::
     python -m repro.bench --large             # ~10x scaled matrix
     python -m repro.bench --tiny --assert-all-hits   # warm-cache check
     python -m repro.bench --compare-kernels   # cold kernel A/B evidence
-    python -m repro.bench --updates           # batch-vs-per-edge replay
+    python -m repro.bench --updates           # batch-engine update replay
     python -m repro.bench --shard --large     # multi-process scaling curve
 
 The report is written to ``--output`` (default ``BENCH_wallclock.json``;
@@ -150,8 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--updates",
         action="store_true",
-        help="run the updates tier instead: batch-dynamic engine vs "
-        "per-edge replay on the flagship graphs "
+        help="run the updates tier instead: batch-dynamic engine "
+        "update replay on the flagship graphs "
         f"(writes {DEFAULT_UPDATES_OUTPUT})",
     )
     parser.add_argument(
@@ -185,14 +185,12 @@ def _run_updates(args: argparse.Namespace) -> int:
     status = 0
     for name, entry in report["graphs"].items():
         batch = entry["batch"]
-        legacy = entry["legacy"]
-        agree = "ok" if entry["agreement"] else "DISAGREE"
+        exact = "exact" if entry["exact"] else "NOT EXACT"
         print(
             f"  {name:8s} batch {batch['updates_per_sec']:12.0f} up/s"
-            f"  per-edge {legacy['updates_per_sec']:12.0f} up/s"
-            f"  speedup {entry['speedup']:6.1f}x  [{agree}]"
+            f"  [{exact}]"
         )
-        if not entry["agreement"]:
+        if not entry["exact"]:
             status = 1
     output = (
         DEFAULT_UPDATES_OUTPUT

@@ -1,23 +1,16 @@
-"""The ``updates`` benchmark tier: batch engine vs per-edge replay.
+"""The ``updates`` benchmark tier: batch-engine update throughput.
 
 The serving claim of the ROADMAP is quantitative: recompute-from-scratch
-(or per-edge maintenance) cannot keep up with update traffic that the
-batched engine absorbs.  This tier measures it.  For each flagship graph
-it replays the same deterministic update stream twice —
-
-* through :class:`repro.core.batch_dynamic.BatchDynamicKCore`, one
-  ``apply_batch`` call per batch (flat kernels, one invocation per peel
-  round), and
-* through the legacy per-edge :class:`repro.core.dynamic.DynamicKCore`,
-  one Python BFS per edge (its documented ``batch_update`` semantics
-  match the batch engine, so the final coreness must agree bit-for-bit
-  — asserted and recorded in the report) —
-
-and reports wall-clock updates/sec for both, their speedup, and the
-batch engine's simulated-clock throughput.  Engine construction (the
-initial decomposition) stays outside the timed region; the stream is
-generated up front.  Results go to ``BENCH_updates.json`` via
-``python -m repro.bench --updates``.
+cannot keep up with update traffic that the batched engine absorbs.
+This tier measures it.  For each flagship graph it replays one
+deterministic update stream through
+:class:`repro.core.batch_dynamic.BatchDynamicKCore`, one ``apply_batch``
+call per batch (flat kernels, one invocation per peel round), and
+reports wall-clock updates/sec, the simulated-clock throughput, and
+whether the final coreness equals a full recompute of the final graph.
+Engine construction (the initial decomposition) stays outside the timed
+region; the stream is generated up front.  Results go to
+``BENCH_updates.json`` via ``python -m repro.bench --updates``.
 """
 
 from __future__ import annotations
@@ -29,14 +22,15 @@ import numpy as np
 
 from repro.bench.wallclock import measure
 from repro.core.batch_dynamic import BatchDynamicKCore
-from repro.core.dynamic import DynamicKCore
+from repro.core.verify import reference_coreness
 from repro.generators import suite
 from repro.generators.streams import UpdateBatch, generate_stream
 from repro.regress.matrix import coreness_fingerprint
 from repro.runtime.cost_model import DEFAULT_COST_MODEL
 
-#: Version of the BENCH_updates.json schema.
-UPDATES_SCHEMA_VERSION = 1
+#: Version of the BENCH_updates.json schema (2: the per-edge column and
+#: its speedup are gone; ``exact`` replaced ``agreement``).
+UPDATES_SCHEMA_VERSION = 2
 
 #: Flagship graphs of the updates tier: the two social-network scale
 #: stand-ins plus the pathological chain-reaction grid.
@@ -107,22 +101,13 @@ def bench_graph(
         )
     applied = engine.updates
     sim_ns = engine.runtime.time_on(threads)
-
-    legacy = DynamicKCore(graph)
-    with measure() as legacy_wall:
-        for batch in stream:
-            legacy.batch_update(
-                insertions=batch.insertions, deletions=batch.deletions
-            )
-
-    agreement = bool(
-        np.array_equal(engine.coreness, legacy.coreness)
-    ) and engine.snapshot() == legacy.snapshot()
+    exact = bool(
+        np.array_equal(
+            engine.coreness, reference_coreness(engine.snapshot())
+        )
+    )
     batch_ups = (
         applied / batch_wall.wall_s if batch_wall.wall_s > 0 else 0.0
-    )
-    legacy_ups = (
-        applied / legacy_wall.wall_s if legacy_wall.wall_s > 0 else 0.0
     )
     return {
         "graph": {"n": graph.n, "m": graph.m},
@@ -137,14 +122,7 @@ def bench_graph(
             ),
             "ledger": engine.metrics.to_stable_dict(DEFAULT_COST_MODEL),
         },
-        "legacy": {
-            "wall_s": legacy_wall.wall_s,
-            "updates_per_sec": legacy_ups,
-        },
-        "speedup": (
-            batch_ups / legacy_ups if legacy_ups > 0 else float("inf")
-        ),
-        "agreement": agreement,
+        "exact": exact,
         "coreness": coreness_fingerprint(engine.coreness),
     }
 

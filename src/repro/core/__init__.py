@@ -19,7 +19,6 @@ from repro.core.batch_dynamic import BatchDynamicKCore, BatchResult
 from repro.core.dcore import dcore_in_decomposition, dcore_subgraph
 from repro.core.collapse import CollapseResult, collapse_kcore_greedy
 from repro.core.densest_exact import Dinic, exact_densest_subgraph
-from repro.core.dynamic import DynamicKCore
 
 from repro.core.external import (
     SemiExternalResult,
@@ -84,7 +83,6 @@ __all__ = [
     "BatchResult",
     "CoreComponent",
     "DensestSubgraphResult",
-    "DynamicKCore",
     "approximate_coreness",
     "approximation_phases",
     "core_hierarchy",

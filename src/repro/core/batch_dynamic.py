@@ -4,8 +4,8 @@ Liu, Shun and Zablotchi ("Parallel k-Core Decomposition with Batched
 Updates and Asynchronous Reads", PPoPP 2024; PAPERS.md) make the case
 that per-edge dynamic maintenance cannot keep up with real update
 traffic: the batched formulation is the one that scales.  This module
-replaces the per-edge traversal of :mod:`repro.core.dynamic` with a
-**batched update engine**:
+replaces one subcore traversal per edge with a **batched update
+engine**:
 
 * :meth:`BatchDynamicKCore.apply_batch` accepts a whole batch of edge
   insertions *and* deletions, applies them structurally in one flat
@@ -27,9 +27,9 @@ Both cascades maintain the invariant that the label array stays on the
 correct side of the true coreness (above for deletions, below for
 insertions), so the committed result after a batch is the *exact*
 decomposition of the final graph — independent of the order of updates
-inside the batch.  The differential update oracle
-(:mod:`repro.regress.update_oracle`) enforces bit-equality against a
-full recompute after every batch.
+inside the batch.  The ``updates`` subject of the differential harness
+(:mod:`repro.regress.harness`) enforces bit-equality against a full
+recompute after every batch.
 
 ``REPRO_KERNELS`` selects the neighbor-expansion kernel:
 ``reference`` runs the original per-edge Python gather loop, ``native``

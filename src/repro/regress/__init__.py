@@ -8,10 +8,13 @@ Two pillars guard the numbers this reproduction exists to produce:
   burdened span, rounds, subrounds, contention, simulated times —
   *exactly* against versioned golden JSON files (``goldens/``), with a
   ``run / bless / diff`` CLI and a per-metric drift report;
-* the **differential oracle** confronts every exact engine with the
-  sequential Batagelj–Zaversnik baseline on the whole generator suite and
-  checks the approximate engine against its (1 + eps) guarantee,
-  minimizing any mismatch to a replayable reproducer via delta debugging.
+* the **differential harness** (:mod:`repro.regress.harness`) sweeps
+  three subjects with one pipeline — every engine against sequential
+  Batagelj–Zaversnik (the approximate engine against its (1 + eps)
+  guarantee), the batch-dynamic engine against a full recompute after
+  every update batch, and pooled shard runs against the inline run —
+  in every kernel mode, shrinking any finding to a replayable
+  reproducer via delta debugging.
 
 See docs/REGRESSION.md for the workflow and blessing etiquette.
 """
@@ -36,54 +39,55 @@ from repro.regress.matrix import (
     run_matrix,
     select_cases,
 )
-from repro.regress.oracle import (
+from repro.regress.harness import (
     EXACT_ENGINES,
-    OracleFinding,
+    SUBJECTS,
+    Case,
+    Divergence,
+    Finding,
+    OracleReport,
     check_approximate,
-    check_exact,
-    minimize_mismatch,
-    run_oracle,
-)
-from repro.regress.reduce import (
-    dump_reproducer,
+    ddmin,
     load_reproducer,
-    minimize_graph,
+    replay,
+    run_oracle,
+    sweep,
+    write_reproducer,
 )
-from repro.regress.reporters import (
-    render_drift_json,
-    render_drift_text,
-    render_oracle_text,
-)
+from repro.regress.reporters import render_drift_json, render_drift_text
 
 __all__ = [
     "APPROX_EPS",
     "CASES",
     "COST_MODELS",
+    "Case",
+    "Divergence",
     "DriftReport",
     "ENGINES",
     "EXACT_ENGINES",
+    "Finding",
     "GoldenVersionError",
     "GRAPH_BUILDERS",
     "MetricDrift",
-    "OracleFinding",
+    "OracleReport",
     "RegressCase",
+    "SUBJECTS",
     "check_approximate",
-    "check_exact",
+    "ddmin",
     "diff_run",
-    "dump_reproducer",
     "goldens_dir",
     "list_blessed",
     "load_graph",
     "load_reproducer",
-    "minimize_graph",
-    "minimize_mismatch",
     "read_golden",
     "render_drift_json",
     "render_drift_text",
-    "render_oracle_text",
+    "replay",
     "run_case",
     "run_matrix",
     "run_oracle",
     "select_cases",
+    "sweep",
     "write_golden",
+    "write_reproducer",
 ]

@@ -7,12 +7,11 @@ Commands:
 * ``diff``   — same comparison, always printing the full drift report
   (the command to run when ``run`` fails and you want the details);
 * ``bless``  — overwrite the goldens with the current matrix results;
-* ``oracle`` — confront every exact engine with sequential BZ across the
-  suite, minimizing and dumping any mismatch; exit 1 on disagreement;
-* ``oracle-updates`` — replay randomized update-batch sequences through
-  the batch-dynamic engine and compare every committed state against a
-  full recompute and the legacy per-edge engine, across kernel modes,
-  with ddmin witness minimization; exit 1 on divergence;
+* ``oracle`` — sweep one differential subject (``--subject engines``:
+  every engine vs sequential BZ; ``updates``: the batch-dynamic engine
+  vs a full recompute after every batch; ``shard``: pooled runs vs the
+  inline run) in every kernel mode, shrinking and dumping any finding;
+  exit 1 on a finding;
 * ``list``   — print the pinned matrix cases.
 
 The ``run`` / ``diff`` / ``bless`` commands cover the pinned
@@ -26,14 +25,11 @@ contract CI and ``make regress`` rely on.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from collections.abc import Sequence
 from pathlib import Path
 
-from repro.generators.streams import PROFILES
-from repro.generators.suite import SMALL
-from repro.perf import KERNELS_ENV, NATIVE, REFERENCE, native_available
+from repro.generators.suite import SIZES, SMALL
 from repro.regress.compare import diff_run
 from repro.regress.goldens import (
     GoldenVersionError,
@@ -42,14 +38,15 @@ from repro.regress.goldens import (
     read_golden,
     write_golden,
 )
-from repro.regress.matrix import CASES, run_matrix, select_cases
-from repro.regress.oracle import run_oracle
-from repro.regress.reporters import DRIFT_REPORTERS, render_oracle_text
-from repro.regress.update_oracle import (
-    UPDATE_CASES,
-    run_update_matrix,
-    run_update_oracle,
+from repro.regress.harness import (
+    SHARD_WORKER_COUNTS,
+    SUBJECTS,
+    kernel_modes,
+    run_oracle,
 )
+from repro.regress.matrix import CASES, run_matrix, select_cases
+from repro.regress.reporters import DRIFT_REPORTERS
+from repro.regress.update_oracle import UPDATE_CASES, run_update_matrix
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,111 +87,50 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     oracle = sub.add_parser(
-        "oracle", help="cross-check every exact engine against BZ"
+        "oracle", help="sweep one differential subject in every kernel mode"
+    )
+    oracle.add_argument(
+        "--subject",
+        choices=sorted(SUBJECTS),
+        default="engines",
+        help="engines: every engine vs BZ; updates: the batch engine vs "
+        "a recompute; shard: pooled runs vs inline (default: engines)",
     )
     oracle.add_argument(
         "--graphs",
         default=None,
-        help="comma-separated suite graph names (default: full suite)",
-    )
-    oracle_size = oracle.add_mutually_exclusive_group()
-    oracle_size.add_argument(
-        "--full-size",
-        action="store_true",
-        help="use the full-size suite graphs instead of the tiny ones",
-    )
-    oracle_size.add_argument(
-        "--large",
-        action="store_true",
-        help="use the large (~10x full) suite graphs",
+        help="comma-separated suite graph names, or SMALL (default: the "
+        "full suite; SMALL for updates)",
     )
     oracle.add_argument(
-        "--dump-dir",
-        type=Path,
-        default=None,
-        help="directory for mismatch reproducer dumps",
+        "--size",
+        choices=SIZES,
+        default="tiny",
+        help="suite tier to sweep (default: tiny)",
     )
     oracle.add_argument(
-        "--no-minimize",
-        action="store_true",
-        help="skip ddmin minimization of mismatch witnesses",
-    )
-
-    updates = sub.add_parser(
-        "oracle-updates",
-        help="differential sweep of the batch-dynamic update engine",
-    )
-    updates.add_argument(
-        "--graphs",
-        default=None,
-        help="comma-separated suite graph names (default: the SMALL set)",
-    )
-    updates.add_argument(
         "--seeds",
         type=int,
         default=7,
-        help="stream seeds per (graph, profile) pair (default: 7)",
+        help="update streams per (graph, profile) (updates; default: 7)",
     )
-    updates.add_argument("--batches", type=int, default=8)
-    updates.add_argument("--batch-size", type=int, default=10)
-    updates.add_argument(
+    oracle.add_argument(
+        "--workers",
+        default=",".join(map(str, SHARD_WORKER_COUNTS)),
+        help="comma-separated pool sizes to prove against the inline run "
+        "(shard; default: %(default)s)",
+    )
+    oracle.add_argument(
         "--kernels",
         default="all",
         help="comma-separated REPRO_KERNELS modes to sweep, or 'all' "
         "(default: reference, + native when available)",
     )
-    updates.add_argument(
+    oracle.add_argument(
         "--dump-dir",
         type=Path,
         default=None,
-        help="directory for sequence-reproducer dumps",
-    )
-    updates.add_argument(
-        "--no-minimize",
-        action="store_true",
-        help="skip ddmin minimization of failing sequences",
-    )
-    updates.add_argument(
-        "--no-legacy",
-        action="store_true",
-        help="skip the (slow) per-edge DynamicKCore cross-check",
-    )
-
-    shard = sub.add_parser(
-        "oracle-shard",
-        help="differential worker-count sweep of the shard engine",
-    )
-    shard.add_argument(
-        "--graphs",
-        default=None,
-        help="comma-separated suite graph names (default: full suite)",
-    )
-    shard.add_argument(
-        "--small",
-        action="store_true",
-        help="sweep only the SMALL graph set (CI smoke)",
-    )
-    shard.add_argument(
-        "--workers",
-        default=None,
-        help="comma-separated worker counts to prove "
-        "(default: 1,2,3,4,7)",
-    )
-    shard.add_argument(
-        "--size",
-        default="tiny",
-        help="suite tier to sweep (default: tiny)",
-    )
-    shard.add_argument(
-        "--dump-dir",
-        type=Path,
-        default=None,
-        help="directory for divergence reproducer dumps",
-    )
-    shard.add_argument(
-        "--no-minimize",
-        action="store_true",
-        help="skip ddmin minimization of divergence witnesses",
+        help="directory for reproducer dumps",
     )
 
     sub.add_parser("list", help="print the pinned matrix cases")
@@ -257,96 +193,21 @@ def cmd_bless(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    names = args.graphs.split(",") if args.graphs else None
-    size = "large" if args.large else ("full" if args.full_size else "tiny")
-    findings = run_oracle(
-        graph_names=names,
-        size=size,
-        minimize=not args.no_minimize,
-        dump_dir=args.dump_dir,
-    )
-    print(render_oracle_text(findings))
-    return 1 if findings else 0
-
-
-def cmd_oracle_updates(args: argparse.Namespace) -> int:
-    names = args.graphs.split(",") if args.graphs else None
-    if args.kernels == "all":
-        kernels = [REFERENCE] + ([NATIVE] if native_available() else [])
-    else:
-        kernels = args.kernels.split(",")
-    findings = []
-    previous = os.environ.get(KERNELS_ENV)
-    try:
-        for kernels_mode in kernels:
-            os.environ[KERNELS_ENV] = kernels_mode
-            found = run_update_oracle(
-                graph_names=names,
-                seeds=range(args.seeds),
-                batches=args.batches,
-                batch_size=args.batch_size,
-                check_legacy=not args.no_legacy,
-                minimize=not args.no_minimize,
-                dump_dir=args.dump_dir,
-            )
-            for finding in found:
-                print(f"[{kernels_mode}] {finding}")
-            findings.extend(found)
-    finally:
-        if previous is None:
-            os.environ.pop(KERNELS_ENV, None)
-        else:
-            os.environ[KERNELS_ENV] = previous
-    if findings:
-        print(f"{len(findings)} update-oracle divergences")
-        return 1
-    graphs = names if names is not None else list(SMALL)
-    sequences = len(graphs) * len(PROFILES) * args.seeds
-    print(
-        f"OK: batch engine bit-equal to recompute"
-        + ("" if args.no_legacy else " and per-edge DynamicKCore")
-        + f" across {sequences} sequences x {len(kernels)} kernel modes"
-    )
-    return 0
-
-
-def cmd_oracle_shard(args: argparse.Namespace) -> int:
-    from repro.generators.suite import SUITE
-    from repro.regress.shard_oracle import (
-        SHARD_WORKER_COUNTS,
-        run_shard_oracle,
-    )
-
-    if args.graphs:
-        names = args.graphs.split(",")
-    elif args.small:
+    if args.graphs == "SMALL":
         names = list(SMALL)
     else:
-        names = None
-    worker_counts = (
-        tuple(int(w) for w in args.workers.split(","))
-        if args.workers
-        else SHARD_WORKER_COUNTS
-    )
-    findings = run_shard_oracle(
-        graph_names=names,
+        names = args.graphs.split(",") if args.graphs else None
+    report = run_oracle(
+        args.subject,
+        names,
         size=args.size,
-        worker_counts=worker_counts,
-        minimize=not args.no_minimize,
+        seeds=args.seeds,
+        workers=[int(count) for count in args.workers.split(",")],
+        kernels=kernel_modes(args.kernels),
         dump_dir=args.dump_dir,
     )
-    for finding in findings:
-        print(finding)
-    if findings:
-        print(f"{len(findings)} shard-oracle divergences")
-        return 1
-    swept = len(names) if names is not None else len(SUITE)
-    counts = ",".join(str(w) for w in worker_counts)
-    print(
-        f"OK: shard bit-equal coreness and ledger vs the single-process "
-        f"oracle across {swept} graphs x workers {{{counts}}}"
-    )
-    return 0
+    print(report)
+    return 1 if report.findings else 0
 
 
 def cmd_list(args: argparse.Namespace) -> int:
@@ -366,8 +227,6 @@ COMMANDS = {
     "diff": cmd_diff,
     "bless": cmd_bless,
     "oracle": cmd_oracle,
-    "oracle-updates": cmd_oracle_updates,
-    "oracle-shard": cmd_oracle_shard,
     "list": cmd_list,
 }
 

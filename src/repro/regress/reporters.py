@@ -1,4 +1,4 @@
-"""Render drift reports and oracle findings for humans and machines.
+"""Render drift reports for humans and machines.
 
 The text drift report groups drifts by case and prints every moved metric
 as ``old -> new`` with a signed percent delta, which is the artifact a
@@ -84,17 +84,6 @@ def render_drift_json(report: DriftReport) -> str:
         ],
     }
     return json.dumps(payload, indent=2)
-
-
-def render_oracle_text(findings: list) -> str:
-    """One line per oracle finding, or a PASS line."""
-    if not findings:
-        return "OK: every engine agrees with the sequential BZ oracle"
-    lines = []
-    for finding in findings:
-        lines.append(str(finding))
-    lines.append(f"{len(findings)} oracle disagreements")
-    return "\n".join(lines)
 
 
 DRIFT_REPORTERS = {

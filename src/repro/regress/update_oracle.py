@@ -1,48 +1,22 @@
-"""Differential oracle and pinned goldens for the batch-dynamic engine.
+"""Pinned update-sequence goldens for the batch-dynamic engine.
 
-The static engines have the BZ oracle (:mod:`repro.regress.oracle`);
-this module is the equivalent safety net for *updates*.  Three layers:
-
-* :func:`run_update_oracle` — replay randomized batch sequences (the
-  deterministic stream generators over the tiny suite graphs) through
-  :class:`repro.core.batch_dynamic.BatchDynamicKCore` and assert, after
-  **every** batch, bit-equality of its coreness array against
-
-  1. a full recompute of the current graph
-     (:func:`repro.core.verify.reference_coreness`), and
-  2. the legacy per-edge :class:`repro.core.dynamic.DynamicKCore`
-     replaying the same updates;
-
-* witness minimization — a failing sequence is shrunk with ddmin
-  (:func:`repro.regress.reduce.minimize_sequence`) over the flat update
-  list (batch boundaries preserved), and dumped as a self-contained
-  JSON reproducer that :func:`replay_reproducer` re-executes;
-
-* pinned goldens — :data:`UPDATE_CASES` fixes twelve update sequences
-  over the dedicated regression graphs; their per-batch coreness
-  trajectory, final fingerprint and simulated-runtime ledger are
-  blessed under ``goldens/updates.json`` and checked by the usual
-  ``python -m repro.regress run`` gate.
-
-An ``engine_factory`` hook lets tests demonstrate the full pipeline on
-a seeded fault (an engine variant with a deliberate bug) end to end:
-sweep → finding → minimized witness → replayable reproducer.
+:data:`UPDATE_CASES` fixes twelve update sequences over the dedicated
+regression graphs; their per-batch coreness trajectory, final
+fingerprint and simulated-runtime ledger are blessed under
+``goldens/updates.json`` and checked by the usual
+``python -m repro.regress run`` gate.  The randomized differential sweep
+of the same engine against a full recompute is the ``updates`` subject
+of :mod:`repro.regress.harness`.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Iterable
 
 import numpy as np
 
-from repro.analysis.export import dump_json, load_json
 from repro.core.batch_dynamic import BatchDynamicKCore
-from repro.core.dynamic import DynamicKCore
-from repro.core.verify import reference_coreness
-from repro.generators import suite
 from repro.generators.streams import (
     PROFILES,
     UpdateBatch,
@@ -50,23 +24,12 @@ from repro.generators.streams import (
 )
 from repro.graphs.csr import CSRGraph
 from repro.regress.matrix import coreness_fingerprint, load_graph
-from repro.regress.reduce import minimize_sequence
 from repro.runtime.cost_model import DEFAULT_COST_MODEL
 
 #: Golden-file name the pinned update cases are blessed under.
 UPDATE_GOLDEN = "updates"
 
-#: One update = (batch_index, kind, u, v) — the flat, order-preserving
-#: representation ddmin minimizes over.
-FlatUpdate = tuple[int, str, int, int]
 
-#: Hook for injecting an engine variant (the seeded-fault demonstration).
-EngineFactory = Callable[[CSRGraph], BatchDynamicKCore]
-
-
-# ----------------------------------------------------------------------
-# Pinned update-sequence goldens
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class UpdateCase:
     """One pinned (graph, stream profile, seed) update sequence."""
@@ -164,299 +127,10 @@ def run_update_matrix(
     return {UPDATE_GOLDEN: entries} if entries else {}
 
 
-# ----------------------------------------------------------------------
-# The randomized differential sweep
-# ----------------------------------------------------------------------
-@dataclass
-class UpdateFinding:
-    """One batch after which the engine's coreness was wrong."""
-
-    graph_name: str
-    profile: str
-    seed: int
-    oracle: str  # "recompute" or "legacy"
-    batch_index: int
-    mismatched_vertices: int
-    first_mismatches: list[int]
-    minimized_updates: list[FlatUpdate] | None = None
-    reproducer_path: Path | None = None
-
-    def __str__(self) -> str:
-        where = ""
-        if self.minimized_updates is not None:
-            where = f", minimized to {len(self.minimized_updates)} updates"
-        if self.reproducer_path is not None:
-            where += f" at {self.reproducer_path}"
-        return (
-            f"UPDATE MISMATCH vs {self.oracle} on {self.graph_name}"
-            f"/{self.profile}-s{self.seed} after batch "
-            f"{self.batch_index}: {self.mismatched_vertices} vertices "
-            f"(first: {self.first_mismatches}){where}"
-        )
-
-
-def _flatten_batches(batches: Iterable[UpdateBatch]) -> list[FlatUpdate]:
-    flat: list[FlatUpdate] = []
-    for index, batch in enumerate(batches):
-        for u, v in batch.deletions:
-            flat.append((index, "del", int(u), int(v)))
-        for u, v in batch.insertions:
-            flat.append((index, "ins", int(u), int(v)))
-    return flat
-
-
-def _group_updates(
-    flat: Iterable[FlatUpdate],
-) -> list[tuple[list[tuple[int, int]], list[tuple[int, int]]]]:
-    """Flat updates back to ordered ``(insertions, deletions)`` batches."""
-    grouped: dict[int, tuple[list, list]] = {}
-    order: list[int] = []
-    for index, kind, u, v in flat:
-        if index not in grouped:
-            grouped[index] = ([], [])
-            order.append(index)
-        grouped[index][0 if kind == "ins" else 1].append((u, v))
-    return [grouped[index] for index in sorted(order)]
-
-
-def _first_divergence(
-    graph: CSRGraph,
-    flat: list[FlatUpdate],
-    engine_factory: EngineFactory,
-    check_legacy: bool = True,
-) -> tuple[str, int, np.ndarray] | None:
-    """First (oracle, batch_index, mismatched vertices) or None.
-
-    Replays the flat update sequence batch by batch; after each batch
-    the engine must agree bit-for-bit with a full recompute of its own
-    committed graph, and (optionally) with the legacy per-edge engine
-    fed the same updates.
-    """
-    engine = engine_factory(graph)
-    legacy = DynamicKCore(graph) if check_legacy else None
-    for index, (insertions, deletions) in enumerate(
-        _group_updates(flat)
-    ):
-        try:
-            engine.apply_batch(
-                insertions=insertions, deletions=deletions
-            )
-        except Exception:
-            return ("recompute", index, np.arange(graph.n)[:0])
-        expected = reference_coreness(engine.snapshot())
-        bad = np.nonzero(engine.coreness != expected)[0]
-        if bad.size:
-            return ("recompute", index, bad)
-        if legacy is not None:
-            legacy.batch_update(
-                insertions=insertions, deletions=deletions
-            )
-            bad = np.nonzero(engine.coreness != legacy.coreness)[0]
-            if bad.size:
-                return ("legacy", index, bad)
-    return None
-
-
-def run_update_oracle(
-    graph_names: Iterable[str] | None = None,
-    profiles: Iterable[str] = PROFILES,
-    seeds: Iterable[int] = (0, 1, 2, 3, 4, 5, 6),
-    batches: int = 8,
-    batch_size: int = 10,
-    size: str = "tiny",
-    engine_factory: EngineFactory | None = None,
-    check_legacy: bool = True,
-    minimize: bool = True,
-    dump_dir: str | Path | None = None,
-    graphs: dict[str, CSRGraph] | None = None,
-) -> list[UpdateFinding]:
-    """Sweep randomized batch sequences; return every divergence found.
-
-    The default corpus is every graph of :data:`suite.SMALL` at the
-    tiny tier × three stream profiles × seven seeds — 105 randomized
-    sequences (the CI sweep requires ≥ 100).  ``engine_factory`` swaps
-    in an engine variant (fault-injection tests); ``dump_dir`` writes a
-    replayable JSON reproducer per finding.
-    """
-    if graphs is None:
-        names = (
-            list(graph_names)
-            if graph_names is not None
-            else list(suite.SMALL)
-        )
-        graphs = {name: suite.load(name, size=size) for name in names}
-    factory = (
-        engine_factory
-        if engine_factory is not None
-        else BatchDynamicKCore
-    )
-
-    findings: list[UpdateFinding] = []
-    for name, graph in graphs.items():
-        for profile in profiles:
-            for seed in seeds:
-                events = generate_stream(
-                    graph,
-                    profile,
-                    batches=batches,
-                    batch_size=batch_size,
-                    queries_per_batch=0,
-                    seed=seed,
-                )
-                flat = _flatten_batches(
-                    event
-                    for event in events
-                    if isinstance(event, UpdateBatch)
-                )
-                divergence = _first_divergence(
-                    graph, flat, factory, check_legacy
-                )
-                if divergence is None:
-                    continue
-                oracle, index, bad = divergence
-                finding = UpdateFinding(
-                    graph_name=name,
-                    profile=profile,
-                    seed=seed,
-                    oracle=oracle,
-                    batch_index=index,
-                    mismatched_vertices=int(bad.size),
-                    first_mismatches=bad[:10].tolist(),
-                )
-                if minimize:
-                    finding.minimized_updates = minimize_sequence(
-                        flat,
-                        lambda candidate: _first_divergence(
-                            graph, candidate, factory, check_legacy
-                        )
-                        is not None,
-                    )
-                if dump_dir is not None:
-                    witness = (
-                        finding.minimized_updates
-                        if finding.minimized_updates is not None
-                        else flat
-                    )
-                    finding.reproducer_path = dump_update_reproducer(
-                        graph,
-                        witness,
-                        Path(dump_dir)
-                        / f"updates-{name}-{profile}-s{seed}.json",
-                        finding=finding,
-                        engine_factory=factory,
-                    )
-                findings.append(finding)
-    return findings
-
-
-# ----------------------------------------------------------------------
-# Replayable reproducers
-# ----------------------------------------------------------------------
-def dump_update_reproducer(
-    graph: CSRGraph,
-    updates: list[FlatUpdate],
-    path: str | Path,
-    finding: UpdateFinding | None = None,
-    engine_factory: EngineFactory | None = None,
-) -> Path:
-    """Write a self-contained JSON reproducer for a failing sequence.
-
-    Carries the full initial edge list plus the (minimized) update
-    sequence and, when the failure reproduces at dump time, the
-    expected/observed coreness after the failing batch — everything
-    :func:`replay_reproducer` needs.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    src = np.repeat(np.arange(graph.n, dtype=np.int64), graph.degrees)
-    mask = src < graph.indices
-    factory = (
-        engine_factory
-        if engine_factory is not None
-        else BatchDynamicKCore
-    )
-    expected = got = None
-    divergence = _first_divergence(graph, updates, factory)
-    if divergence is not None:
-        engine = factory(graph)
-        for insertions, deletions in _group_updates(updates)[
-            : divergence[1] + 1
-        ]:
-            engine.apply_batch(
-                insertions=insertions, deletions=deletions
-            )
-        expected = reference_coreness(engine.snapshot()).tolist()
-        got = engine.coreness.tolist()
-    payload = {
-        "kind": "update-sequence",
-        "graph": graph.name,
-        "n": graph.n,
-        "m": graph.m,
-        "edges": np.stack(
-            [src[mask], graph.indices[mask]], axis=1
-        ).tolist(),
-        "updates": [list(update) for update in updates],
-        "finding": None
-        if finding is None
-        else {
-            "oracle": finding.oracle,
-            "batch_index": finding.batch_index,
-            "mismatched_vertices": finding.mismatched_vertices,
-        },
-        "expected_coreness": expected,
-        "got_coreness": got,
-    }
-    dump_json(payload, path)
-    return path
-
-
-def load_update_reproducer(
-    path: str | Path,
-) -> tuple[CSRGraph, list[FlatUpdate], dict]:
-    """Rebuild (graph, updates, payload) from a reproducer dump."""
-    payload = load_json(path)
-    graph = CSRGraph.from_edges(
-        payload["n"],
-        [tuple(edge) for edge in payload["edges"]],
-        name=payload.get("graph", "update-reproducer"),
-    )
-    updates = [
-        (int(index), str(kind), int(u), int(v))
-        for index, kind, u, v in payload["updates"]
-    ]
-    return graph, updates, payload
-
-
-def replay_reproducer(
-    path: str | Path,
-    engine_factory: EngineFactory | None = None,
-) -> tuple[str, int, np.ndarray] | None:
-    """Re-execute a dumped reproducer; returns the divergence (or None).
-
-    With the default (correct) engine a reproducer dumped from a faulty
-    variant replays clean — pass the same ``engine_factory`` to confirm
-    the failure.
-    """
-    graph, updates, _ = load_update_reproducer(path)
-    factory = (
-        engine_factory
-        if engine_factory is not None
-        else BatchDynamicKCore
-    )
-    return _first_divergence(graph, updates, factory)
-
-
 __all__ = [
     "UPDATE_CASES",
     "UPDATE_GOLDEN",
-    "EngineFactory",
-    "FlatUpdate",
     "UpdateCase",
-    "UpdateFinding",
-    "dump_update_reproducer",
-    "load_update_reproducer",
-    "replay_reproducer",
     "run_update_case",
     "run_update_matrix",
-    "run_update_oracle",
 ]

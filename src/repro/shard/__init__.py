@@ -7,8 +7,8 @@ memory-map the same cached ``.npz`` (:mod:`repro.shard.pool`), and
 merges the per-round ``(vertex, new_estimate)`` deltas canonically in
 the coordinator (:mod:`repro.shard.engine`).  The result — coreness,
 simulated ledger, round trajectory — is bit-identical for every worker
-count and kernel mode; ``python -m repro.regress oracle-shard`` sweeps
-exactly that, and ``python -m repro.shard`` emits a worker-count
+count and kernel mode; ``python -m repro.regress oracle --subject shard``
+sweeps exactly that, and ``python -m repro.shard`` emits a worker-count
 invariant report for CI's byte-identity check.
 
 See docs/SHARDING.md for the protocol and the exactness argument.

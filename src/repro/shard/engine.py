@@ -94,7 +94,7 @@ def shard_coreness(
 
     ``workers=None`` sizes the pool from :func:`default_workers`;
     ``workers=0`` runs the identical schedule inline in this process
-    (the single-process oracle ``oracle-shard`` sweeps against).  A
+    (the reference of the ``shard`` oracle subject).  A
     caller-provided ``pool`` is reused and left open (the bench runner
     spawns it outside the timed region); otherwise the pool — and, for
     graphs that are not already mmap-backed, a temporary uncompressed

@@ -6,7 +6,7 @@ Montresor locality update (see :mod:`repro.core.locality`).  The
 snapshot read is what makes the round *partition-independent*: the same
 global active set produces the same new estimates whether one process
 computes it or seven workers each compute a contiguous slice, which is
-the invariant ``oracle-shard`` enforces bit-for-bit.
+the invariant the ``shard`` oracle subject enforces bit-for-bit.
 
 Two implementations, selected by the ``REPRO_KERNELS`` switch and
 bit-exact with each other:

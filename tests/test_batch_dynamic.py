@@ -17,9 +17,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.batch_dynamic import BatchDynamicKCore, BatchResult
-from repro.core.dynamic import DynamicKCore
 from repro.core.verify import reference_coreness
 from repro.graphs.csr import CSRGraph
+from repro.graphs.transform import all_edges
 from repro.obs import MetricsRegistry, observing
 from repro.perf import (
     AUTO,
@@ -37,6 +37,24 @@ def assert_exact(engine: BatchDynamicKCore, context=None):
     assert np.array_equal(engine.coreness, expected), (
         context,
         np.flatnonzero(engine.coreness != expected)[:10],
+    )
+
+
+def assert_diff(result: BatchResult, before: np.ndarray, after: np.ndarray):
+    """The reported raised/lowered sets match the coreness diff.
+
+    Deletions apply before insertions, so a vertex lowered by one phase
+    and raised by the other is in both sets; every other vertex is in a
+    set exactly when its coreness moved that way.
+    """
+    raised = set(result.raised.tolist())
+    lowered = set(result.lowered.tolist())
+    both = raised & lowered
+    assert set(np.flatnonzero(after > before).tolist()) - both == (
+        raised - both
+    )
+    assert set(np.flatnonzero(after < before).tolist()) - both == (
+        lowered - both
     )
 
 
@@ -70,21 +88,24 @@ def random_batches(graph, rng, batches, batch_size):
 
 
 # ----------------------------------------------------------------------
-# Exactness against full recompute and the legacy engine
+# Exactness against full recompute
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", range(6))
 def test_exact_after_every_batch(small_er, seed):
     rng = np.random.default_rng(seed)
     engine = BatchDynamicKCore(small_er)
-    legacy = DynamicKCore(small_er)
+    edges = {tuple(edge) for edge in all_edges(small_er).tolist()}
     for index, (ins, dels) in enumerate(
         random_batches(small_er, rng, batches=6, batch_size=10)
     ):
-        engine.apply_batch(insertions=ins, deletions=dels)
-        legacy.batch_update(insertions=ins, deletions=dels)
+        before = engine.coreness.copy()
+        result = engine.apply_batch(insertions=ins, deletions=dels)
         assert_exact(engine, (seed, index))
-        assert np.array_equal(engine.coreness, legacy.coreness)
-        assert engine.snapshot() == legacy.snapshot()
+        assert_diff(result, before, engine.coreness)
+        edges = (edges - set(dels)) | set(ins)
+        assert engine.snapshot() == CSRGraph.from_edges(
+            small_er.n, sorted(edges)
+        )
 
 
 def test_initial_state_matches_reference(any_graph):
@@ -186,25 +207,26 @@ def test_empty_batch_commits_an_epoch(small_er):
 
 
 def test_batch_of_one_equals_per_edge_engine(small_er):
+    """Single-edge calls: exact after each, returning the coreness diff."""
     rng = np.random.default_rng(7)
     engine = BatchDynamicKCore(small_er)
-    legacy = DynamicKCore(small_er)
     for ins, dels in random_batches(small_er, rng, 1, 40):
         for u, v in dels:
-            raised_or_lowered = engine.delete_edge(u, v)
-            legacy_changed = legacy.delete_edge(u, v)
-            assert np.array_equal(engine.coreness, legacy.coreness)
-            assert sorted(raised_or_lowered.tolist()) == sorted(
-                int(x) for x in legacy_changed
-            )
+            before = engine.coreness.copy()
+            lowered = engine.delete_edge(u, v)
+            assert_exact(engine, ("delete", u, v))
+            assert lowered.tolist() == np.flatnonzero(
+                engine.coreness < before
+            ).tolist()
+            assert np.all(engine.coreness >= before - 1)
         for u, v in ins:
+            before = engine.coreness.copy()
             raised = engine.insert_edge(u, v)
-            legacy_changed = legacy.insert_edge(u, v)
-            assert np.array_equal(engine.coreness, legacy.coreness)
-            assert sorted(raised.tolist()) == sorted(
-                int(x) for x in legacy_changed
-            )
-    assert_exact(engine, "per-edge parity")
+            assert_exact(engine, ("insert", u, v))
+            assert raised.tolist() == np.flatnonzero(
+                engine.coreness > before
+            ).tolist()
+            assert np.all(engine.coreness <= before + 1)
 
 
 def test_permutation_invariance_within_batch(small_er):
@@ -338,7 +360,7 @@ def test_tracing_does_not_change_the_ledger(small_er):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(data=st.data())
-def test_hypothesis_batches_match_recompute_and_legacy(data):
+def test_hypothesis_batches_match_recompute(data):
     n = data.draw(st.integers(min_value=2, max_value=24), label="n")
     pair = st.tuples(
         st.integers(0, n - 1), st.integers(0, n - 1)
@@ -348,13 +370,12 @@ def test_hypothesis_batches_match_recompute_and_legacy(data):
     )
     graph = CSRGraph.from_edges(n, initial)
     engine = BatchDynamicKCore(graph)
-    legacy = DynamicKCore(graph)
     for index in range(data.draw(st.integers(1, 4), label="batches")):
         ins = data.draw(st.lists(pair, max_size=8), label=f"ins{index}")
         dels = data.draw(
             st.lists(pair, max_size=8), label=f"dels{index}"
         )
-        engine.apply_batch(insertions=ins, deletions=dels)
-        legacy.batch_update(insertions=ins, deletions=dels)
+        before = engine.coreness.copy()
+        result = engine.apply_batch(insertions=ins, deletions=dels)
         assert_exact(engine, index)
-        assert np.array_equal(engine.coreness, legacy.coreness)
+        assert_diff(result, before, engine.coreness)

@@ -1,9 +1,14 @@
-"""Tests for dynamic k-core maintenance, validated against recomputation."""
+"""Single-edge maintenance through the batch engine's per-edge surface.
+
+``BatchDynamicKCore.insert_edge`` / ``delete_edge`` are batches of one;
+every check is against a full recomputation.  Self-loops raise
+``ValueError`` rather than being ignored.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.dynamic import DynamicKCore
+from repro.core.batch_dynamic import BatchDynamicKCore
 from repro.core.verify import reference_coreness
 from repro.generators import (
     complete_graph,
@@ -16,7 +21,7 @@ from repro.generators import (
 from repro.graphs.csr import CSRGraph
 
 
-def assert_consistent(dyn: DynamicKCore) -> None:
+def assert_consistent(dyn: BatchDynamicKCore) -> None:
     """The maintained coreness must equal a recompute on the snapshot."""
     expected = reference_coreness(dyn.snapshot())
     assert np.array_equal(dyn.coreness, expected)
@@ -24,40 +29,42 @@ def assert_consistent(dyn: DynamicKCore) -> None:
 
 class TestBasics:
     def test_initial_coreness(self, small_er):
-        dyn = DynamicKCore(small_er)
+        dyn = BatchDynamicKCore(small_er)
         assert np.array_equal(
             dyn.coreness, reference_coreness(small_er)
         )
 
     def test_snapshot_round_trip(self, small_er):
-        dyn = DynamicKCore(small_er)
+        dyn = BatchDynamicKCore(small_er)
         assert dyn.snapshot() == small_er
 
     def test_degree_and_has_edge(self, triangle):
-        dyn = DynamicKCore(triangle)
+        dyn = BatchDynamicKCore(triangle)
         assert dyn.degree(0) == 2
         assert dyn.has_edge(0, 1)
         assert not dyn.has_edge(0, 0)
 
     def test_out_of_range_rejected(self, triangle):
-        dyn = DynamicKCore(triangle)
+        dyn = BatchDynamicKCore(triangle)
         with pytest.raises(IndexError):
             dyn.insert_edge(0, 5)
         with pytest.raises(IndexError):
             dyn.delete_edge(-1, 0)
 
     def test_idempotent_operations(self, triangle):
-        dyn = DynamicKCore(triangle)
+        dyn = BatchDynamicKCore(triangle)
         assert dyn.insert_edge(0, 1).size == 0  # already present
-        assert dyn.insert_edge(1, 1).size == 0  # self loop
-        assert dyn.delete_edge(0, 2).size > 0 or True
+        with pytest.raises(ValueError, match="self-loop"):
+            dyn.insert_edge(1, 1)
+        assert dyn.delete_edge(0, 2).size == 3  # triangle -> path
         assert dyn.delete_edge(0, 2).size == 0  # already gone
+        assert dyn.updates == 1
         assert_consistent(dyn)
 
 
 class TestInsertions:
     def test_closing_a_path_into_a_cycle(self):
-        dyn = DynamicKCore(path_graph(6))
+        dyn = BatchDynamicKCore(path_graph(6))
         risers = dyn.insert_edge(0, 5)
         # Path coreness 1 -> cycle coreness 2, every vertex rises.
         assert risers.size == 6
@@ -66,22 +73,22 @@ class TestInsertions:
 
     def test_completing_a_triangle(self):
         g = CSRGraph.from_edges(3, [(0, 1), (1, 2)])
-        dyn = DynamicKCore(g)
+        dyn = BatchDynamicKCore(g)
         risers = dyn.insert_edge(0, 2)
         assert sorted(risers.tolist()) == [0, 1, 2]
         assert np.all(dyn.coreness == 2)
 
     def test_insert_into_empty(self):
-        dyn = DynamicKCore(empty_graph(4))
+        dyn = BatchDynamicKCore(empty_graph(4))
         risers = dyn.insert_edge(0, 1)
         assert sorted(risers.tolist()) == [0, 1]
         assert list(dyn.coreness) == [1, 1, 0, 0]
 
     def test_pendant_insert_changes_nothing_upstream(self):
-        dyn = DynamicKCore(complete_graph(5))
+        dyn = BatchDynamicKCore(complete_graph(5))
         # Add an isolated vertex's worth of structure: K5 grows a tail.
         g = dyn.snapshot()
-        dyn2 = DynamicKCore(
+        dyn2 = BatchDynamicKCore(
             CSRGraph.from_edges(
                 6,
                 [(u, v) for u in range(5) for v in range(u + 1, 5)],
@@ -94,11 +101,13 @@ class TestInsertions:
         assert_consistent(dyn2)
 
     def test_insertion_increases_by_at_most_one(self, medium_er):
-        dyn = DynamicKCore(medium_er)
+        dyn = BatchDynamicKCore(medium_er)
         before = dyn.coreness.copy()
         rng = np.random.default_rng(1)
         for _ in range(30):
             u, v = rng.integers(0, medium_er.n, size=2)
+            if u == v:
+                continue
             dyn.insert_edge(int(u), int(v))
             assert np.all(dyn.coreness - before <= 1)
             before = dyn.coreness.copy()
@@ -107,14 +116,14 @@ class TestInsertions:
 
 class TestDeletions:
     def test_breaking_a_cycle(self):
-        dyn = DynamicKCore(cycle_graph(6))
+        dyn = BatchDynamicKCore(cycle_graph(6))
         dropped = dyn.delete_edge(0, 1)
         assert dropped.size == 6  # cycle -> path, all drop to 1
         assert np.all(dyn.coreness == 1)
         assert_consistent(dyn)
 
     def test_removing_clique_edge(self):
-        dyn = DynamicKCore(complete_graph(5))
+        dyn = BatchDynamicKCore(complete_graph(5))
         dropped = dyn.delete_edge(0, 1)
         # K5 minus one edge: endpoints drop to 3, others stay 3 (their
         # coreness also falls since the 4-core is destroyed).
@@ -122,7 +131,7 @@ class TestDeletions:
         assert dyn.coreness.max() == 3
 
     def test_deletion_decreases_by_at_most_one(self, medium_er):
-        dyn = DynamicKCore(medium_er)
+        dyn = BatchDynamicKCore(medium_er)
         rng = np.random.default_rng(2)
         edges = [
             (u, int(x))
@@ -139,7 +148,7 @@ class TestDeletions:
         assert_consistent(dyn)
 
     def test_grid_boundary_deletions(self):
-        dyn = DynamicKCore(grid_2d(5, 5))
+        dyn = BatchDynamicKCore(grid_2d(5, 5))
         dyn.delete_edge(0, 1)
         dyn.delete_edge(0, 5)  # vertex 0 is now isolated
         assert dyn.coreness[0] == 0
@@ -151,9 +160,11 @@ class TestRandomizedSequences:
     def test_mixed_updates_stay_exact(self, seed):
         rng = np.random.default_rng(seed)
         graph = erdos_renyi(60, 4.0, seed=seed)
-        dyn = DynamicKCore(graph)
+        dyn = BatchDynamicKCore(graph)
         for step in range(120):
             u, v = (int(x) for x in rng.integers(0, graph.n, size=2))
+            if u == v:
+                continue
             if rng.random() < 0.5:
                 dyn.insert_edge(u, v)
             else:
@@ -164,15 +175,15 @@ class TestRandomizedSequences:
 
     def test_batch_update(self):
         graph = erdos_renyi(50, 3.0, seed=9)
-        dyn = DynamicKCore(graph)
-        dyn.batch_update(
+        dyn = BatchDynamicKCore(graph)
+        dyn.apply_batch(
             insertions=[(0, 1), (1, 2), (2, 0), (3, 4)],
             deletions=[(0, 1)] if dyn.has_edge(0, 1) else [],
         )
         assert_consistent(dyn)
 
     def test_insert_then_delete_is_identity(self, medium_er):
-        dyn = DynamicKCore(medium_er)
+        dyn = BatchDynamicKCore(medium_er)
         before = dyn.coreness.copy()
         pairs = [(1, 400), (7, 333), (20, 21)]
         for u, v in pairs:
@@ -182,14 +193,14 @@ class TestRandomizedSequences:
         assert np.array_equal(dyn.coreness, before)
 
     def test_touched_counter_grows(self, small_er):
-        dyn = DynamicKCore(small_er)
+        dyn = BatchDynamicKCore(small_er)
         dyn.insert_edge(0, 1) if not dyn.has_edge(0, 1) else None
         dyn.insert_edge(0, 2) if not dyn.has_edge(0, 2) else None
         assert dyn.updates >= 1
 
 
 class TestStatefulAgainstRecompute:
-    """Hypothesis stateful machine: DynamicKCore vs full recomputation."""
+    """Hypothesis stateful machine: single-edge updates vs recomputation."""
 
     def test_state_machine(self):
         import hypothesis.strategies as st
@@ -206,16 +217,18 @@ class TestStatefulAgainstRecompute:
         class DynMachine(RuleBasedStateMachine):
             def __init__(self):
                 super().__init__()
-                self.dyn = DynamicKCore(empty_graph(N))
+                self.dyn = BatchDynamicKCore(empty_graph(N))
                 self.checks = 0
 
             @rule(u=st.integers(0, N - 1), v=st.integers(0, N - 1))
             def insert(self, u, v):
-                self.dyn.insert_edge(u, v)
+                if u != v:
+                    self.dyn.insert_edge(u, v)
 
             @rule(u=st.integers(0, N - 1), v=st.integers(0, N - 1))
             def delete(self, u, v):
-                self.dyn.delete_edge(u, v)
+                if u != v:
+                    self.dyn.delete_edge(u, v)
 
             @invariant()
             def matches_recompute(self):

@@ -200,12 +200,14 @@ class TestExtensionProperties:
         ),
     )
     def test_dynamic_matches_recompute(self, graph, updates):
-        from repro.core.dynamic import DynamicKCore
+        from repro.core.batch_dynamic import BatchDynamicKCore
 
-        dyn = DynamicKCore(graph)
+        dyn = BatchDynamicKCore(graph)
         for i, (u, v) in enumerate(updates):
             u %= graph.n
             v %= graph.n
+            if u == v:  # the engine rejects self-loops with ValueError
+                continue
             if i % 2:
                 dyn.insert_edge(u, v)
             else:

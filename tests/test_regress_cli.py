@@ -98,9 +98,11 @@ class TestRunBlessDiff:
 
 class TestOracleAndList:
     def test_oracle_clean(self, capsys):
-        code = main(["oracle", "--graphs", "GRID,CUBE", "--no-minimize"])
+        code = main(["oracle", "--graphs", "GRID,CUBE"])
         assert code == 0
-        assert "OK" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out.startswith("OK: every engine agrees with BZ")
+        assert "kernel modes {reference" in out
 
     def test_oracle_unknown_graph(self):
         with pytest.raises(KeyError):

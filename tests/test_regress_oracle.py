@@ -1,4 +1,4 @@
-"""The differential oracle: every exact engine vs sequential BZ.
+"""The harness's ``engines`` subject: every engine vs sequential BZ.
 
 This is the permanent cross-engine safety net the regression subsystem
 hangs off: all exact engines must agree with Batagelj–Zaversnik on every
@@ -20,11 +20,13 @@ from repro.generators import erdos_renyi, suite
 from repro.regress import (
     APPROX_EPS,
     EXACT_ENGINES,
+    Case,
     check_approximate,
-    check_exact,
     load_reproducer,
+    replay,
     run_oracle,
 )
+from repro.regress.harness import ORACLE_ENGINES, check
 from repro.regress.matrix import ENGINES
 from repro.runtime.cost_model import DEFAULT_COST_MODEL
 
@@ -56,8 +58,8 @@ class TestExactEnginesAgree:
         assert set(EXACT_ENGINES) == set(ENGINES) - {"bz", "approx"}
 
     def test_check_exact_clean_on_correct_engine(self):
-        graph = _tiny("GRID")
-        assert check_exact("julienne", graph).size == 0
+        case = Case("engines", "GRID", "julienne", _tiny("GRID"))
+        assert check(case, EXACT_ENGINES["julienne"]) is None
 
 
 class TestApproximateBounds:
@@ -93,46 +95,74 @@ class TestFaultInjection:
         np.minimum(result.coreness, 3, out=result.coreness)
         return result
 
+    @staticmethod
+    def _inflated_approx(graph, model):
+        """Seeded fault: estimates 2 * kappa + 1, outside every bound."""
+        result = bz_core(graph, model)
+        result.coreness = 2 * result.coreness + 1
+        return result
+
     def test_fault_is_caught_and_minimized(self, tmp_path):
-        findings = run_oracle(
-            graph_names=["LJ-S", "GRID"],
-            engines={"capped": self._capped_engine},
+        report = run_oracle(
+            "engines",
+            ["LJ-S", "GRID"],
+            runners={"capped": self._capped_engine},
             dump_dir=tmp_path,
         )
         # GRID (kmax == 2) cannot expose the cap; LJ-S (kmax > 3) must.
-        assert [f.graph_name for f in findings] == ["LJ-S"]
-        finding = findings[0]
-        assert finding.engine == "capped"
-        assert finding.mismatched_vertices > 0
+        assert [f.case.label for f in report.findings] == ["LJ-S"]
+        finding = report.findings[0]
+        assert finding.case.runner == "capped"
+        assert finding.divergence.kind == "coreness"
         # ddmin shrinks the witness to (nearly) the minimal K5.
-        assert finding.reproducer is not None
-        assert finding.reproducer.n <= 8
-        assert bz_core(finding.reproducer).coreness.max() > 3
+        assert finding.witness is not None
+        assert finding.witness.graph.n <= 8
+        assert bz_core(finding.witness.graph).coreness.max() > 3
 
     def test_reproducer_dump_replays(self, tmp_path):
-        findings = run_oracle(
-            graph_names=["LJ-S"],
-            engines={"capped": self._capped_engine},
+        report = run_oracle(
+            "engines",
+            ["LJ-S"],
+            runners={"capped": self._capped_engine},
             dump_dir=tmp_path,
         )
-        path = findings[0].reproducer_path
+        path = report.findings[0].reproducer_path
         assert path is not None and path.exists()
-        graph, payload = load_reproducer(path)
-        assert graph.n == payload["n"]
-        expected = np.asarray(payload["expected_coreness"])
-        got = self._capped_engine(graph, DEFAULT_COST_MODEL).coreness
-        # The dumped failure reproduces from the file alone.
-        assert np.array_equal(
-            got, np.asarray(payload["got_coreness"])
+        case, payload = load_reproducer(path)
+        assert case.graph.n == payload["n"]
+        assert (payload["subject"], payload["runner"]) == (
+            "engines", "capped"
         )
-        assert not np.array_equal(got, expected)
-        assert np.array_equal(bz_core(graph).coreness, expected)
+        assert payload["kernels"] == report.kernels[0]
+        expected = np.asarray(payload["expected"])
+        got = self._capped_engine(case.graph, DEFAULT_COST_MODEL).coreness
+        # The dumped pair reproduces from the file alone...
+        assert np.array_equal(got, np.asarray(payload["got"]))
+        assert np.array_equal(bz_core(case.graph).coreness, expected)
+        # ...replay fails with the fault and is clean without it.
+        divergence = replay(path, runners={"capped": self._capped_engine})
+        assert divergence is not None and divergence.kind == "coreness"
+        assert replay(path, runners={"capped": julienne_kcore}) is None
+
+    def test_approx_fault_is_found_and_minimized(self, tmp_path):
+        report = run_oracle(
+            "engines",
+            ["GRID"],
+            runners={"approx": self._inflated_approx},
+            dump_dir=tmp_path,
+        )
+        [finding] = report.findings
+        assert finding.divergence.kind == "bound"
+        # One vertex already breaks the bound (kappa = 0, estimate 1).
+        assert finding.witness.graph.n == 1
+        path = finding.reproducer_path
+        assert replay(path, runners={"approx": self._inflated_approx})
+        assert replay(path) is None
 
     def test_clean_roster_yields_no_findings(self):
-        findings = run_oracle(
-            graph_names=["GRID", "CUBE"], minimize=False
-        )
-        assert findings == []
+        report = run_oracle("engines", ["GRID", "CUBE"])
+        assert report.findings == []
+        assert report.cases == 2 * len(ORACLE_ENGINES)
 
 
 class TestOracleOffSuite:

@@ -1,23 +1,25 @@
-"""The differential update oracle: sweep, fault injection, reproducers."""
+"""The harness's ``updates`` subject: sweep, fault injection, reproducers."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.batch_dynamic import BatchDynamicKCore
 from repro.regress.cli import main as regress_main
 from repro.regress.goldens import read_golden
+from repro.regress.harness import (
+    ddmin,
+    load_reproducer,
+    replay,
+    sweep,
+    update_cases,
+)
 from repro.regress.matrix import load_graph
-from repro.regress.reduce import minimize_sequence
 from repro.regress.update_oracle import (
     UPDATE_CASES,
     UpdateCase,
-    load_update_reproducer,
-    replay_reproducer,
     run_update_case,
     run_update_matrix,
-    run_update_oracle,
 )
 
 
@@ -26,7 +28,7 @@ from repro.regress.update_oracle import (
 # ----------------------------------------------------------------------
 def test_minimize_sequence_shrinks_to_culprit():
     items = list(range(50))
-    minimized = minimize_sequence(items, lambda seq: 42 in seq)
+    minimized = ddmin(items, lambda seq: 42 in seq)
     assert minimized == [42]
 
 
@@ -36,12 +38,12 @@ def test_minimize_sequence_preserves_order():
     def failing(seq):
         return 3 in seq and 7 in seq and seq.index(3) < seq.index(7)
 
-    assert minimize_sequence(items, failing) == [3, 7]
+    assert ddmin(items, failing) == [3, 7]
 
 
 def test_minimize_sequence_requires_failing_input():
     with pytest.raises(ValueError):
-        minimize_sequence([1, 2, 3], lambda seq: False)
+        ddmin([1, 2, 3], lambda seq: False)
 
 
 # ----------------------------------------------------------------------
@@ -54,69 +56,95 @@ class FaultyEngine(BatchDynamicKCore):
         return super()._deletion_cascade(dirty[:1], stream)
 
 
+class FragileEngine(BatchDynamicKCore):
+    """Seeded fault: any batch with a deletion raises."""
+
+    def apply_batch(self, insertions=(), deletions=()):
+        if len(deletions):
+            raise RuntimeError("deletions unsupported")
+        return super().apply_batch(insertions, deletions)
+
+
 def tiny_corpus():
     return {"er-300": load_graph("er-300")}
 
 
 def test_oracle_clean_on_correct_engine():
-    findings = run_update_oracle(
-        graphs=tiny_corpus(),
-        seeds=(0, 1),
-        batches=4,
-        batch_size=8,
+    cases = update_cases(
+        tiny_corpus(), seeds=(0, 1), batches=4, batch_size=8
     )
-    assert findings == []
+    assert len(cases) == 6
+    assert sweep(cases) == []
 
 
 def test_seeded_fault_is_found_minimized_and_replayable(tmp_path):
-    findings = run_update_oracle(
-        graphs=tiny_corpus(),
-        profiles=("churn",),
+    cases = update_cases(
+        tiny_corpus(),
         seeds=(0, 1, 2),
+        profiles=("churn",),
         batches=5,
         batch_size=10,
-        engine_factory=FaultyEngine,
-        check_legacy=False,
-        dump_dir=tmp_path,
+    )
+    findings = sweep(
+        cases, runners={"batch": FaultyEngine}, dump_dir=tmp_path
     )
     assert findings, "the seeded fault must be detected"
     finding = findings[0]
-    assert finding.oracle == "recompute"
-    assert finding.minimized_updates is not None
+    assert finding.divergence.kind == "coreness"
+    assert finding.divergence.step is not None
+    assert finding.witness is not None
     assert finding.reproducer_path is not None
 
     # ddmin produced a witness no larger than the full sequence that
     # still fails under the faulty engine...
-    graph, updates, payload = load_update_reproducer(
-        finding.reproducer_path
-    )
-    assert updates == finding.minimized_updates
-    assert payload["kind"] == "update-sequence"
-    assert payload["expected_coreness"] is not None
-    divergence = replay_reproducer(
-        finding.reproducer_path, engine_factory=FaultyEngine
+    case, payload = load_reproducer(finding.reproducer_path)
+    assert case.updates == finding.witness.updates
+    assert payload["subject"] == "updates"
+    assert payload["expected"] is not None
+    divergence = replay(
+        finding.reproducer_path, runners={"batch": FaultyEngine}
     )
     assert divergence is not None
 
     # ...and replays clean under the correct engine.
-    assert replay_reproducer(finding.reproducer_path) is None
+    assert replay(finding.reproducer_path) is None
 
 
 def test_minimized_witness_is_minimal_under_fault():
-    findings = run_update_oracle(
-        graphs=tiny_corpus(),
-        profiles=("churn",),
+    cases = update_cases(
+        tiny_corpus(),
         seeds=(0,),
+        profiles=("churn",),
         batches=5,
         batch_size=10,
-        engine_factory=FaultyEngine,
-        check_legacy=False,
     )
+    findings = sweep(cases, runners={"batch": FaultyEngine})
     if not findings:  # pragma: no cover - seed-dependent guard
         pytest.skip("seed 0 did not trip the seeded fault")
     finding = findings[0]
-    total = (finding.batch_index + 1) * 10
-    assert len(finding.minimized_updates) < total
+    total = (finding.divergence.step + 1) * 10
+    assert len(finding.witness.updates) < total
+
+
+def test_raising_engine_is_a_raised_finding():
+    """A raise is a finding, shrunk while the same type is raised."""
+    cases = update_cases(
+        tiny_corpus(),
+        seeds=(0, 1),
+        profiles=("churn",),
+        batches=3,
+        batch_size=6,
+    )
+    findings = sweep(cases, runners={"batch": FragileEngine})
+    assert [f.case.label for f in findings] == [
+        "er-300/churn-s0", "er-300/churn-s1",
+    ]
+    for finding in findings:
+        assert finding.divergence.kind == "raised"
+        assert finding.divergence.got == "RuntimeError"
+        assert "deletions unsupported" in finding.divergence.detail
+        [(_, kind, _, _)] = finding.witness.updates
+        assert kind == "del"
 
 
 # ----------------------------------------------------------------------
@@ -166,22 +194,21 @@ def test_blessed_goldens_match_fresh_run():
 def test_cli_oracle_updates_smoke(capsys):
     status = regress_main(
         [
-            "oracle-updates",
+            "oracle",
+            "--subject",
+            "updates",
             "--graphs",
             "GRID",
             "--seeds",
             "1",
-            "--batches",
-            "3",
-            "--batch-size",
-            "6",
-            "--no-legacy",
+            "--kernels",
+            "reference",
         ]
     )
     out = capsys.readouterr().out
     assert status == 0
-    assert "OK: batch engine bit-equal" in out
-    assert "3 sequences" in out
+    assert "OK: the batch engine equals a recompute" in out
+    assert "3 cases x kernel modes {reference}" in out
 
 
 def test_cli_list_includes_update_cases(capsys):
