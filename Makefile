@@ -55,8 +55,9 @@ shard-smoke:
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.serve --tiny
 
-obs-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.serve --tiny --metrics \
+obs-smoke: trace
+	PYTHONPATH=src $(PYTHON) -m repro.serve --tiny --graph GRID \
+		--trace serve-tiny.trace.json --metrics \
 		--metrics-output serve-tiny.obs.json --prom serve-tiny.prom \
 		--output serve-tiny.json
 
@@ -82,7 +83,8 @@ bench-shard:
 	PYTHONPATH=src REPRO_GRAPH_CACHE=.graph_cache $(PYTHON) -m repro.bench --shard --large
 
 trace:
-	PYTHONPATH=src $(PYTHON) -m repro.trace ours LJ-S --flame LJ-S.folded
+	PYTHONPATH=src $(PYTHON) -m repro.trace ours GRID --tiny \
+		--output trace-smoke.trace.json --flame trace-smoke.folded
 
 bench-figures:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -1,7 +1,8 @@
 """Trace the flagship solver: spans on the simulated clock, Perfetto export.
 
-Attaches a :class:`repro.trace.Tracer` to one decomposition, prints the
-per-round text timeline, and writes two artifacts:
+Attaches a metrics registry with a :class:`repro.trace.Tracer` facet to
+one decomposition, prints the per-round text timeline, and writes two
+artifacts:
 
 * ``flagship.trace.json`` — Chrome/Perfetto trace-event JSON; load it in
   https://ui.perfetto.dev to see round/subround span tracks, per-step
@@ -15,6 +16,7 @@ Run:  python examples/trace_flagship.py
 from pathlib import Path
 
 from repro import ParallelKCore, generators
+from repro.obs import MetricsRegistry
 from repro.trace import Tracer, render_flamegraph, render_text, write_trace
 
 
@@ -23,16 +25,15 @@ def main(output_dir: str = "traces") -> None:
     # full-size suite graph.
     graph = generators.load("LJ-S", tiny=True)
 
-    tracer = Tracer(label="All/LJ-S.tiny")
-    result = ParallelKCore().decompose(graph, tracer=tracer)
-    tracer.finish()
+    registry = MetricsRegistry("All/LJ-S.tiny", tracer=Tracer())
+    result = ParallelKCore().decompose(graph, registry=registry)
 
     # The quick look: one line per peeling round, no UI needed.
-    print(render_text(tracer))
+    print(render_text(registry))
 
     # The telemetry is also available as plain dicts — find the round
     # that did the most simulated work.
-    busiest = max(tracer.telemetry(), key=lambda r: r["work"])
+    busiest = max(registry.tracer.telemetry(), key=lambda r: r["work"])
     print(
         f"busiest round: k={busiest['k']} "
         f"({busiest['subrounds']} subrounds, "
@@ -43,8 +44,8 @@ def main(output_dir: str = "traces") -> None:
 
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_trace(tracer, str(out / "flagship.trace.json"))
-    (out / "flagship.folded").write_text(render_flamegraph(tracer) + "\n")
+    write_trace(registry, str(out / "flagship.trace.json"))
+    (out / "flagship.folded").write_text(render_flamegraph(registry) + "\n")
     print(f"wrote {out / 'flagship.trace.json'} (open in ui.perfetto.dev)")
     print(f"wrote {out / 'flagship.folded'} (collapsed stacks)")
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.bench.cache import DiskCache, cache_key
 from repro.bench.wallclock import measure
@@ -35,7 +35,7 @@ from repro.perf import (
 from repro.regress.matrix import ENGINES, coreness_fingerprint
 from repro.runtime.cost_model import DEFAULT_COST_MODEL
 from repro.runtime.metrics import METRICS_SCHEMA_VERSION
-from repro.trace import Tracer, tracing, write_trace
+from repro.trace import Tracer, write_trace
 
 #: Schema of the BENCH_wallclock.json report.
 #: v2: cells carry ``size`` (was ``tiny``); the summary separates
@@ -58,7 +58,7 @@ class BenchCell:
     engine: str
     graph: str
     size: str = "full"
-    kernels: str = NATIVE
+    kernels: str = field(default_factory=kernel_mode)
 
     def key_fields(self) -> dict[str, object]:
         """Every input that determines this cell's payload and timing."""
@@ -126,11 +126,12 @@ def run_cell(
     wall-clock sample of the decomposition itself (graph construction
     is deliberately outside the timed region).
 
-    With ``trace_dir``, the measured region runs under an attached
-    :class:`repro.trace.Tracer` and the Perfetto JSON is written to
-    :func:`trace_path`.  Tracing is observational, so the payload —
-    and hence the cache entry — is bit-identical either way; the trace
-    file itself stays outside the cache.
+    With ``trace_dir``, the measured region runs under a registry with
+    a :class:`repro.trace.Tracer` facet and the Perfetto JSON is written
+    to :func:`trace_path`; the registry's counters are then folded into
+    the enclosing active registry, if any.  Tracing is observational, so
+    the payload — and hence the cache entry — is bit-identical either
+    way; the trace file itself stays outside the cache.
     """
     previous = os.environ.get(KERNELS_ENV)
     os.environ[KERNELS_ENV] = cell.kernels
@@ -140,15 +141,18 @@ def run_cell(
             with measure() as wall:
                 result = ENGINES[cell.engine](graph, DEFAULT_COST_MODEL)
         else:
-            tracer = Tracer(label=cell.label)
-            with tracing(tracer):
+            outer_registry = active_registry()
+            registry = MetricsRegistry(cell.label, tracer=Tracer())
+            with observing(registry):
                 with measure() as wall:
                     result = ENGINES[cell.engine](graph, DEFAULT_COST_MODEL)
-            tracer.host_span(
+            registry.host_span(
                 cell.label, wall.wall_s, max_rss_kb=wall.max_rss_kb
             )
             os.makedirs(trace_dir, exist_ok=True)
-            write_trace(tracer, trace_path(cell, trace_dir))
+            write_trace(registry, trace_path(cell, trace_dir))
+            if outer_registry is not None:
+                outer_registry.merge_counts(registry.counter_values())
     finally:
         if previous is None:
             os.environ.pop(KERNELS_ENV, None)

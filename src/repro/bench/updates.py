@@ -49,9 +49,10 @@ def bench_graph(
 ) -> dict[str, object]:
     """Measure one graph's update replay; returns its report entry.
 
-    With ``trace_dir``, the batch replay runs under an attached tracer
-    and the Perfetto JSON (batch/subcore/peel spans on the simulated
-    clock) is written to ``<trace_dir>/updates-<name>.trace.json``.
+    With ``trace_dir``, the batch replay runs under a registry with a
+    tracer facet and the Perfetto JSON (batch/subcore/peel spans on the
+    simulated clock) is written to
+    ``<trace_dir>/updates-<name>.trace.json``.
     Tracing is observational, so the report is identical either way.
     """
     graph = suite.load(name, size=size)
@@ -79,25 +80,25 @@ def bench_graph(
                     deletions=batch.deletions,
                 )
     else:
-        from repro.trace import Tracer, tracing, write_trace
+        from repro.obs import MetricsRegistry
+        from repro.trace import Tracer, write_trace
 
-        tracer = Tracer(label=f"updates/{name}")
-        with tracing(tracer):
-            engine = BatchDynamicKCore(graph)
-            with measure() as batch_wall:
-                for batch in stream:
-                    engine.apply_batch(
-                        insertions=batch.insertions,
-                        deletions=batch.deletions,
-                    )
-        tracer.host_span(
+        registry = MetricsRegistry(f"updates/{name}", tracer=Tracer())
+        engine = BatchDynamicKCore(graph, registry=registry)
+        with measure() as batch_wall:
+            for batch in stream:
+                engine.apply_batch(
+                    insertions=batch.insertions,
+                    deletions=batch.deletions,
+                )
+        registry.host_span(
             f"updates/{name}",
             batch_wall.wall_s,
             max_rss_kb=batch_wall.max_rss_kb,
         )
         os.makedirs(trace_dir, exist_ok=True)
         write_trace(
-            tracer, os.path.join(trace_dir, f"updates-{name}.trace.json")
+            registry, os.path.join(trace_dir, f"updates-{name}.trace.json")
         )
     applied = engine.updates
     sim_ns = engine.runtime.time_on(threads)

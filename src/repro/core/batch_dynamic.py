@@ -101,10 +101,16 @@ def resolve_stream_kernel(regime: str | None = None):
 class BatchResult:
     """Outcome of one committed update batch.
 
+    ``raised`` and ``lowered`` are per phase: deletions apply first,
+    so a vertex the deletions lower and the insertions raise back is in
+    both, while ``changed`` is the net diff against the previous epoch.
+
     Attributes:
         epoch: Epoch number committed by this batch (first batch is 1).
-        raised: Vertices whose coreness increased (sorted, unique).
-        lowered: Vertices whose coreness decreased (sorted, unique).
+        raised: Vertices the insertion phase raised (sorted, unique).
+        lowered: Vertices the deletion phase lowered (sorted, unique).
+        changed: Vertices whose coreness differs from the previous
+            epoch's (sorted, unique).
         applied_insertions: Edges actually inserted (absent before).
         applied_deletions: Edges actually deleted (present before).
         noop_insertions: Requested insertions that already existed.
@@ -115,20 +121,12 @@ class BatchResult:
     epoch: int
     raised: np.ndarray = field(default_factory=lambda: _EMPTY)
     lowered: np.ndarray = field(default_factory=lambda: _EMPTY)
+    changed: np.ndarray = field(default_factory=lambda: _EMPTY)
     applied_insertions: int = 0
     applied_deletions: int = 0
     noop_insertions: int = 0
     noop_deletions: int = 0
     rounds: int = 0
-
-    @property
-    def changed(self) -> np.ndarray:
-        """Vertices whose coreness changed (sorted, unique)."""
-        if self.raised.size == 0:
-            return self.lowered
-        if self.lowered.size == 0:
-            return self.raised
-        return sorted_unique(np.concatenate([self.raised, self.lowered]))
 
 
 class BatchDynamicKCore:
@@ -245,7 +243,7 @@ class BatchDynamicKCore:
         rounds_before = runtime.metrics.subrounds
         stream = resolve_stream_kernel()
 
-        lowered = _EMPTY
+        lowered = before = _EMPTY
         raised = _EMPTY
         applied_del = noop_del = applied_ins = noop_ins = 0
 
@@ -257,7 +255,7 @@ class BatchDynamicKCore:
             if eff.size:
                 self._remove_arcs(eff)
                 dirty = self._endpoints(eff)
-                lowered = self._deletion_cascade(dirty, stream)
+                lowered, before = self._deletion_cascade(dirty, stream)
 
         if ins.size:
             present = sorted_member_mask(ins, self._keys)
@@ -269,6 +267,13 @@ class BatchDynamicKCore:
                 seeds = self._endpoints(eff)
                 raised = self._insertion_fixpoint(seeds, stream)
 
+        # A lowered vertex changed iff it did not end where it began; one
+        # raised only by the insertions always did.
+        changed = sorted_unique(np.concatenate([
+            lowered[self.coreness[lowered] != before],
+            raised[~sorted_member_mask(raised, lowered)],
+        ]))
+
         self.epoch += 1
         self.batches += 1
         self.updates += applied_del + applied_ins
@@ -276,22 +281,13 @@ class BatchDynamicKCore:
             epoch=self.epoch,
             raised=raised,
             lowered=lowered,
+            changed=changed,
             applied_insertions=applied_ins,
             applied_deletions=applied_del,
             noop_insertions=noop_ins,
             noop_deletions=noop_del,
             rounds=int(runtime.metrics.subrounds - rounds_before),
         )
-        if runtime.tracer is not None:
-            runtime.tracer.instant(
-                "batch_commit",
-                epoch=result.epoch,
-                applied_insertions=applied_ins,
-                applied_deletions=applied_del,
-                raised=int(raised.size),
-                lowered=int(lowered.size),
-                rounds=result.rounds,
-            )
         registry = runtime.registry
         if registry is not None:
             registry.inc("dyn.batches")
@@ -311,6 +307,15 @@ class BatchDynamicKCore:
                 "dyn.batch_size",
                 float(applied_ins + applied_del),
                 boundaries=SIZE_BOUNDARIES,
+            )
+            registry.instant(
+                "batch_commit",
+                epoch=result.epoch,
+                applied_insertions=applied_ins,
+                applied_deletions=applied_del,
+                raised=int(raised.size),
+                lowered=int(lowered.size),
+                rounds=result.rounds,
             )
         return result
 
@@ -395,8 +400,14 @@ class BatchDynamicKCore:
     # ------------------------------------------------------------------
     # Deletion cascade (labels are upper bounds; drop to the fixed point)
     # ------------------------------------------------------------------
-    def _deletion_cascade(self, dirty: np.ndarray, stream) -> np.ndarray:
-        """Exact repair after deletions; returns the lowered vertices.
+    def _deletion_cascade(
+        self, dirty: np.ndarray, stream
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Exact repair after deletions.
+
+        Returns the lowered vertices and their coreness before the
+        cascade: a round lowers each vertex it lists by one, so that is
+        the new value plus the number of rounds that listed it.
 
         Invariant: ``coreness >= true coreness`` pointwise.  Each round
         recounts, for every dirty vertex, the neighbors still supporting
@@ -458,8 +469,13 @@ class BatchDynamicKCore:
                 tag="frontier_bag",
             )
         if not lowered:
-            return _EMPTY
-        return sorted_unique(np.concatenate(lowered))
+            return _EMPTY, _EMPTY
+        drops = np.concatenate(lowered)
+        vertices = sorted_unique(drops)
+        counts = np.bincount(
+            np.searchsorted(vertices, drops), minlength=vertices.size
+        )
+        return vertices, self.coreness[vertices] + counts
 
     # ------------------------------------------------------------------
     # Insertion fixpoint (labels are lower bounds; peel subcores upward)

@@ -40,7 +40,7 @@ from repro.obs.registry import active_registry
 from repro.primitives.bitops import sorted_member_mask, sorted_unique
 from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.runtime.metrics import RunMetrics
-from repro.runtime.simulator import SimRuntime, active_tracer
+from repro.runtime.simulator import SimRuntime
 from repro.structures.buckets_base import BucketStructure
 from repro.structures.fixed_buckets import FixedBuckets
 from repro.structures.hbs import AdaptiveHBS, HierarchicalBuckets
@@ -105,26 +105,22 @@ def decompose(
     graph: CSRGraph,
     config: FrameworkConfig | None = None,
     model: CostModel = DEFAULT_COST_MODEL,
-    tracer=None,
     registry=None,
 ) -> CorenessResult:
     """Run the framework on ``graph`` and return the coreness of every vertex.
 
     Restarts transparently on (whp-rare) sampling errors.
 
-    ``tracer`` optionally attaches a :class:`repro.trace.Tracer` to the
-    run; tracing is observational only (the ledger is bit-identical with
-    and without it) and spans every restart attempt.  ``registry``
-    likewise attaches a :class:`repro.obs.MetricsRegistry` under the
-    same observational contract (lint rule R008).
+    ``registry`` optionally attaches a :class:`repro.obs.MetricsRegistry`
+    (with a tracer facet, the timeline too) to the run; observation is
+    side-effect-free (the ledger is bit-identical with and without it,
+    lint rule R006) and spans every restart attempt.
     """
     config = config if config is not None else FrameworkConfig()
     if config.peel not in ("online", "offline"):
         raise ValueError(f"unknown peel strategy {config.peel!r}")
     if config.sampling and config.peel == "offline":
         raise ValueError("sampling applies to the online peel only")
-    if tracer is None:
-        tracer = active_tracer()
     if registry is None:
         registry = active_registry()
 
@@ -134,7 +130,7 @@ def decompose(
     while True:
         try:
             result = _run_once(
-                graph, attempt_config, model, mu_boost, tracer, registry
+                graph, attempt_config, model, mu_boost, registry
             )
         except SamplingRestartError:
             # Las-Vegas recovery (Sec. 4.1.4): retry with a stronger mu,
@@ -143,14 +139,13 @@ def decompose(
             if carried is None:
                 carried = RunMetrics()
             carried.restarts += 1
-            if tracer is not None:
-                tracer.instant(
+            if registry is not None:
+                registry.inc("framework.sampling_restarts")
+                registry.instant(
                     "sampling_restart",
                     restarts=carried.restarts,
                     mu_boost=mu_boost,
                 )
-            if registry is not None:
-                registry.inc("framework.sampling_restarts")
             if carried.restarts > MAX_RESTARTS:
                 attempt_config = replace(attempt_config, sampling=False)
             continue
@@ -165,11 +160,10 @@ def _run_once(
     config: FrameworkConfig,
     model: CostModel,
     mu_boost: int,
-    tracer=None,
     registry=None,
 ) -> CorenessResult:
     """One attempt of the decomposition (may raise SamplingRestartError)."""
-    runtime = SimRuntime(model, tracer=tracer, registry=registry)
+    runtime = SimRuntime(model, registry=registry)
     n = graph.n
     dtilde = graph.degrees.astype(np.int64).copy()
     peeled = np.zeros(n, dtype=bool)

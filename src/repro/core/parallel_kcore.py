@@ -79,21 +79,16 @@ class ParallelKCore:
         return "+".join(techniques)
 
     # ------------------------------------------------------------------
-    def decompose(
-        self, graph: CSRGraph, tracer=None, registry=None
-    ) -> CorenessResult:
+    def decompose(self, graph: CSRGraph, registry=None) -> CorenessResult:
         """Coreness of every vertex of ``graph``.
 
-        ``tracer`` optionally attaches a :class:`repro.trace.Tracer`
-        and ``registry`` a :class:`repro.obs.MetricsRegistry`; both are
-        observational only (see docs/OBSERVABILITY.md).
+        ``registry`` optionally attaches a
+        :class:`repro.obs.MetricsRegistry` (counters, and the timeline
+        when it carries a tracer); observation is side-effect-free (see
+        docs/OBSERVABILITY.md).
         """
         return decompose(
-            graph,
-            self.config(),
-            model=self.model,
-            tracer=tracer,
-            registry=registry,
+            graph, self.config(), model=self.model, registry=registry
         )
 
     def coreness(self, graph: CSRGraph) -> np.ndarray:

@@ -140,8 +140,8 @@ class OnlinePeel:
                 self.vgc.edge_budget,
             )
         runtime.metrics.local_search_hits += result.local_search_hits
-        if runtime.tracer is not None:
-            runtime.tracer.instant(
+        if runtime.registry is not None:
+            runtime.registry.instant(
                 "vgc_tasks",
                 regime=regime,
                 tasks=int(frontier.size),

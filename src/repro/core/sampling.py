@@ -173,8 +173,8 @@ class SamplingState:
             self.rate[sampled] * (degrees - k) / 4.0
         )
         failures = sampled[~(headroom_ok & sample_ok)]
-        if self.runtime.tracer is not None:
-            self.runtime.tracer.instant(
+        if self.runtime.registry is not None:
+            self.runtime.registry.instant(
                 "validate",
                 sampled=int(sampled.size),
                 failures=int(failures.size),
@@ -243,8 +243,8 @@ class SamplingState:
                 )
         self.dtilde[vertices] = exact
         self.set_sampler_bulk(vertices[~low], k)
-        if self.runtime.tracer is not None:
-            self.runtime.tracer.instant(
+        if self.runtime.registry is not None:
+            self.runtime.registry.instant(
                 "resample",
                 count=int(vertices.size),
                 low=int(np.count_nonzero(low)),
@@ -303,8 +303,8 @@ class SamplingState:
         )
         flips = self.rng.random(sampled_targets.size)
         hits = sampled_targets[flips < self.rate[sampled_targets]]
-        if self.runtime.tracer is not None:
-            self.runtime.tracer.instant(
+        if self.runtime.registry is not None:
+            self.runtime.registry.instant(
                 "sample_draw",
                 drawn=int(sampled_targets.size),
                 hits=int(hits.size),
@@ -325,8 +325,8 @@ class SamplingState:
             tag="sample_increments",
         )
         if reached.size:
-            if self.runtime.tracer is not None:
-                self.runtime.tracer.instant(
+            if self.runtime.registry is not None:
+                self.runtime.registry.instant(
                     "sample_saturated", count=int(reached.size)
                 )
         return reached

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.core.result import CorenessResult
 from repro.graphs.csr import CSRGraph
+from repro.obs.registry import active_registry
 from repro.perf import REFERENCE, kernel_mode
 from repro.perf.kernels import (
     FlatPeelState,
@@ -25,7 +26,6 @@ from repro.perf.kernels import (
 )
 from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.runtime.metrics import RunMetrics
-from repro.runtime.simulator import active_tracer
 
 
 def _bz_peel(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray, int]:
@@ -135,12 +135,12 @@ def bz_core(
         coreness, ops = _bz_peel_flat(graph)
     metrics = RunMetrics()
     metrics.record_sequential(float(ops), tag="bz")
-    # BZ runs without a SimRuntime, so the process-wide tracer (if any)
-    # is fed its single sequential step directly.
-    tracer = active_tracer()
-    if tracer is not None:
-        tracer.attach_model(model)
-        tracer.on_step("sequential", float(ops), float(ops), 0, "bz")
+    # BZ runs without a SimRuntime, so the process-wide registry (if
+    # any) is fed its single sequential step directly.
+    registry = active_registry()
+    if registry is not None:
+        registry.attach_model(model)
+        registry.on_step("sequential", float(ops), float(ops), 0, "bz")
     return CorenessResult(
         coreness=coreness, metrics=metrics, algorithm="bz", model=model
     )

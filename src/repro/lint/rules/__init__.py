@@ -11,8 +11,7 @@ from repro.lint.rules import (  # noqa: F401
     r003_determinism,
     r004_simulated_race,
     r005_magic_cost_constant,
-    r006_trace_side_effect,
+    r006_observer_side_effect,
     r007_native_parity,
-    r008_metrics_side_effect,
     r009_shard_determinism,
 )

@@ -1,30 +1,39 @@
-"""R006 trace-side-effect: tracing must stay observational.
+"""R006 observer-side-effect: observation must change nothing.
 
-The trace layer's contract (docs/OBSERVABILITY.md) is that attaching a
-:class:`repro.trace.Tracer` changes *nothing*: the regression goldens
-pass bit-exactly with tracing on and off, and two traced runs of the
-same input produce identical trace files.  Three disciplines keep that
-true, and this rule enforces each syntactically:
+The observer's contract (docs/OBSERVABILITY.md) is that attaching a
+:class:`repro.obs.MetricsRegistry` — with or without its
+:class:`repro.trace.Tracer` facet — changes *nothing*: the regression
+goldens pass bit-exactly observed and unobserved, and two observed runs
+of the same input produce byte-identical snapshots and trace files.
+Three disciplines keep that true, and this rule enforces each
+syntactically:
 
 * **(A) clock containment** — no wall-clock read anywhere under the
   ``repro`` package except ``repro/bench/wallclock.py``, the single
   sanctioned host-clock reader.  R003 already flags clocks in algorithm
   code via suppressions; R006 pins the *location* structurally, so a
-  stray ``# lint: disable=R003`` cannot quietly add a second reader.
-* **(B) trace purity** — code under ``repro/trace/`` must not charge
-  the simulated ledger (no ``parallel_for`` / ``sequential`` / ...,
-  no ``record_*``), must not draw randomness, and must not assign to
-  ``*.metrics.*``; the tracer only *reads* the execution.  Since v2
-  purity is *interprocedural*: a trace module calling a resolved
-  project function from which a ledger charge is reachable is flagged
-  too (driver modules — ``cli.py`` / ``__main__.py`` — are exempt;
-  launching a traced run is their job).
-* **(C) guarded hooks** — every tracer method call outside
-  ``repro/trace/`` (``on_step``, ``instant``, ...) on an optional slot
-  (a name ending in ``tracer``) must sit inside an
-  ``if <slot> is not None:`` guard, so the untraced path stays
+  stray ``# lint: disable=R003`` cannot quietly add a second reader.  A
+  ``wall``-family metric or a host span can only carry a value that
+  reader measured.
+* **(B) observer purity** — code under the observability packages
+  (``repro/obs/``, ``repro/trace/``) must not charge the simulated
+  ledger (no ``parallel_for`` / ``sequential`` / ..., no ``record_*``),
+  must not draw randomness, and must not assign to ``*.metrics.*``; the
+  observer only *reads* the execution.  Purity is interprocedural: an
+  observer module calling a resolved project function from which a
+  ledger charge is reachable is flagged too (driver modules —
+  ``cli.py`` / ``__main__.py`` — are exempt; launching an observed run
+  is their job).
+* **(C) guarded hooks** — every observer hook called outside those
+  packages (``on_step``, ``instant``, ``inc``, ``observe``, ...) on an
+  optional slot (a name ending in ``registry``) must sit inside an
+  ``if <slot> is not None:`` guard, so the unobserved path stays
   zero-cost and can never raise.  A local variable assigned directly
-  from a ``Tracer(...)`` constructor is known non-None and exempt.
+  from a ``MetricsRegistry(...)`` constructor is known non-None and
+  exempt.
+
+R006 absorbed the former R008 (``metrics-side-effect``), the registry
+half of the same contract; the R008 ID is retired, not reused.
 """
 
 from __future__ import annotations
@@ -41,8 +50,12 @@ from repro.lint.registry import rule
 CLOCK_FUNCTIONS = astutil.CLOCK_FUNCTIONS
 _time_aliases = astutil.time_aliases
 
-#: Tracer methods that record into the trace (the optional-slot hooks).
-TRACER_MUTATORS = frozenset(
+#: The observability packages (the observer itself, held to purity).
+OBSERVER_PACKAGES = ("obs", "trace")
+_OBSERVER_MODULES = tuple(f"repro.{pkg}" for pkg in OBSERVER_PACKAGES)
+
+#: Registry methods that record into the observer (optional-slot hooks).
+OBSERVER_HOOKS = frozenset(
     {
         "attach",
         "attach_model",
@@ -51,10 +64,16 @@ TRACER_MUTATORS = frozenset(
         "on_subround",
         "instant",
         "host_span",
+        "inc",
+        "set_gauge",
+        "observe",
+        "mark",
+        "merge_counts",
+        "declare_histogram",
     }
 )
 
-#: Ledger-charging calls forbidden inside ``repro/trace/``.
+#: Ledger-charging calls forbidden inside the observability packages.
 CHARGING_METHODS = astutil.CHARGE_METHODS | {
     "record_parallel",
     "record_sequential",
@@ -67,6 +86,10 @@ def _is_wallclock_module(ctx: ModuleContext) -> bool:
     )
 
 
+def _is_observer_module(ctx: ModuleContext) -> bool:
+    return any(ctx.in_package("repro", pkg) for pkg in OBSERVER_PACKAGES)
+
+
 def _parents(tree: ast.Module) -> dict[ast.AST, ast.AST]:
     parents: dict[ast.AST, ast.AST] = {}
     for node in ast.walk(tree):
@@ -75,8 +98,8 @@ def _parents(tree: ast.Module) -> dict[ast.AST, ast.AST]:
     return parents
 
 
-def _constructed_tracers(tree: ast.Module) -> set[str]:
-    """Bare names assigned from a ``Tracer(...)`` constructor call."""
+def _constructed_registries(tree: ast.Module) -> set[str]:
+    """Bare names assigned from a ``MetricsRegistry(...)`` constructor."""
     names: set[str] = set()
     for node in ast.walk(tree):
         if not isinstance(node, ast.Assign):
@@ -84,7 +107,9 @@ def _constructed_tracers(tree: ast.Module) -> set[str]:
         if not isinstance(node.value, ast.Call):
             continue
         callee = astutil.call_name(node.value)
-        if callee is None or not callee.split(".")[-1].endswith("Tracer"):
+        if callee is None or not callee.split(".")[-1].endswith(
+            "MetricsRegistry"
+        ):
             continue
         for target in node.targets:
             if isinstance(target, ast.Name):
@@ -118,44 +143,48 @@ def _is_guarded(
 
 @rule(
     "R006",
-    "trace-side-effect",
-    "tracing is observational: clocks only in bench.wallclock, pure "
-    "trace/ package, tracer hooks behind 'is not None' guards",
+    "observer-side-effect",
+    "observation changes nothing: clocks only in bench.wallclock, pure "
+    "obs/ and trace/ packages, registry hooks behind 'is not None' guards",
 )
 def check(ctx: ModuleContext) -> Iterator[Finding]:
     if ctx.in_package("repro"):
         if not _is_wallclock_module(ctx):
             yield from _check_clocks(ctx)
-        if ctx.in_package("repro", "trace"):
+        if _is_observer_module(ctx):
             yield from _check_purity(ctx)
             yield from _check_transitive_purity(ctx)
             return
     yield from _check_guards(ctx)
 
 
-def _is_trace_driver(ctx: ModuleContext) -> bool:
+def _is_observer_driver(ctx: ModuleContext) -> bool:
     """Driver modules that legitimately launch charging runs."""
     return Path(ctx.path).name in ("cli.py", "__main__.py")
 
 
 def _check_transitive_purity(ctx: ModuleContext) -> Iterator[Finding]:
-    """Trace code must not *reach* a ledger charge through calls."""
-    if ctx.program is None or ctx.module is None or _is_trace_driver(ctx):
+    """Observer code must not *reach* a ledger charge through calls."""
+    if (
+        ctx.program is None
+        or ctx.module is None
+        or _is_observer_driver(ctx)
+    ):
         return
     graph = ctx.program.callgraph
     for info in ctx.functions():
         for site in graph.sites_in(info):
             for target in site.targets:
-                if target.module.startswith("repro.trace"):
+                if target.module.startswith(_OBSERVER_MODULES):
                     continue  # flagged by (B) where the charge appears
                 if graph.can_charge(target):
                     yield ctx.finding(
                         site.call,
                         "R006",
-                        f"trace code calls '{target.qualname}', from which "
-                        "a ledger charge is reachable; the tracer must "
-                        "observe the run, not drive it (drivers belong in "
-                        "cli.py/__main__.py)",
+                        f"observer code calls '{target.qualname}', from "
+                        "which a ledger charge is reachable; the observer "
+                        "must observe the run, not drive it (drivers "
+                        "belong in cli.py/__main__.py)",
                     )
                     break
 
@@ -177,7 +206,7 @@ def _check_clocks(ctx: ModuleContext) -> Iterator[Finding]:
                 "R006",
                 f"wall-clock read '{name}()' outside repro.bench.wallclock;"
                 " host timing must go through wallclock.measure() so traces"
-                " stay deterministic",
+                " and snapshots stay deterministic",
             )
 
 
@@ -193,8 +222,8 @@ def _check_purity(ctx: ModuleContext) -> Iterator[Finding]:
                 yield ctx.finding(
                     node,
                     "R006",
-                    f"trace code must not charge the ledger "
-                    f"('{func.attr}'); the tracer only observes the run",
+                    f"observer code must not charge the ledger "
+                    f"('{func.attr}'); the observer only observes the run",
                 )
             elif name is not None and (
                 name.startswith(("np.random.", "numpy.random."))
@@ -203,8 +232,9 @@ def _check_purity(ctx: ModuleContext) -> Iterator[Finding]:
                 yield ctx.finding(
                     node,
                     "R006",
-                    f"trace code must not draw randomness ('{name}()'); "
-                    "a traced run must equal the untraced run bit-exactly",
+                    f"observer code must not draw randomness ('{name}()');"
+                    " an observed run must equal the unobserved run "
+                    "bit-exactly",
                 )
         elif isinstance(node, (ast.Assign, ast.AugAssign)):
             targets = (
@@ -218,7 +248,7 @@ def _check_purity(ctx: ModuleContext) -> Iterator[Finding]:
                     yield ctx.finding(
                         node,
                         "R006",
-                        f"trace code must not mutate runtime metrics "
+                        f"observer code must not mutate runtime metrics "
                         f"('{dotted}')",
                     )
 
@@ -233,12 +263,12 @@ def _check_guards(ctx: ModuleContext) -> Iterator[Finding]:
         if name is None or "." not in name:
             continue
         base, _, method = name.rpartition(".")
-        if method not in TRACER_MUTATORS:
+        if method not in OBSERVER_HOOKS:
             continue
-        if not (base == "tracer" or base.endswith("tracer")):
+        if not (base == "registry" or base.endswith("registry")):
             continue
         if constructed is None:
-            constructed = _constructed_tracers(ctx.tree)
+            constructed = _constructed_registries(ctx.tree)
         if base in constructed:
             continue
         if parents is None:
@@ -247,7 +277,7 @@ def _check_guards(ctx: ModuleContext) -> Iterator[Finding]:
             yield ctx.finding(
                 node,
                 "R006",
-                f"tracer hook '{name}()' outside an "
-                f"'if {base} is not None:' guard; the untraced path must "
-                "stay zero-cost",
+                f"observer hook '{name}()' outside an "
+                f"'if {base} is not None:' guard; the unobserved path "
+                "must stay zero-cost",
             )

@@ -14,7 +14,7 @@ This rule flags, inside the ``repro/shard/`` package only, any ``for``
 source and whose body reaches
 
 * a ledger charge (``parallel_for`` / ``sequential`` / ``record_*``), or
-* a registry mutation (``inc`` / ``observe`` / ``set_gauge`` / ...),
+* an observer hook (``inc`` / ``observe`` / ``on_step`` / ...),
 
 unless the loop body only *collects* results (the collect-then-sort
 idiom: gather replies into a dict/list keyed by shard, then fold in
@@ -31,9 +31,9 @@ from repro.lint import astutil
 from repro.lint.context import ModuleContext
 from repro.lint.finding import Finding
 from repro.lint.registry import rule
-from repro.lint.rules.r008_metrics_side_effect import (
+from repro.lint.rules.r006_observer_side_effect import (
     CHARGING_METHODS,
-    REGISTRY_MUTATORS,
+    OBSERVER_HOOKS,
 )
 
 #: Call names (last component) yielding results in completion order.
@@ -75,7 +75,7 @@ def _ordering_sinks(body: list[ast.stmt]) -> Iterator[tuple[ast.Call, str]]:
                 continue
             if func.attr in CHARGING_METHODS:
                 yield node, f"ledger charge '{func.attr}()'"
-            elif func.attr in REGISTRY_MUTATORS:
+            elif func.attr in OBSERVER_HOOKS:
                 yield node, f"registry hook '{func.attr}()'"
 
 

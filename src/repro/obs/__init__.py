@@ -1,25 +1,28 @@
-"""Unified metrics: registry, exporters, dashboard, perf-trend gate.
+"""The one observer: registry, exporters, dashboard, perf-trend gate.
 
-``repro.obs`` is the numbers half of the observability layer (the span
-tracer, :mod:`repro.trace`, is the timeline half): a deterministic
-:class:`MetricsRegistry` of counters, gauges and fixed-boundary
-histograms that guarded hooks across the stack feed —
+``repro.obs`` holds the single way to look inside a run: a
+deterministic :class:`MetricsRegistry` of counters, gauges and
+fixed-boundary histograms that guarded hooks across the stack feed —
 
 * the simulated runtime (steps, work, rounds) and the batch-dynamic
-  update engine (batches, repair rounds, risers/fallers);
+  update engine (batches, repair rounds, per-phase risers/fallers);
 * the serve writer loop (commit latency, batch sizes, queue wait,
   read-staleness histograms, one mark per committed epoch);
 * kernel dispatch in :mod:`repro.perf` (mode resolutions, native
   fallbacks, ``.so`` build-cache hits);
 * the caches (graph ``.npz``, bench cells, bench run records).
 
+Given a :class:`repro.trace.Tracer` facet
+(``MetricsRegistry(label, tracer=Tracer(threads))``) the same hooks also
+record the simulated timeline that :mod:`repro.trace` exports.
+
 Attach a registry process-wide with :func:`observing`, or pass
 ``registry=`` to ``SimRuntime`` / ``framework.decompose`` /
-``BatchDynamicKCore`` / ``CoreService``.  Metrics are strictly
-observational — all regression goldens pass bit-exactly with a registry
-attached and detached (lint rule R008 keeps it that way) — and
-snapshots are byte-deterministic.  See docs/OBSERVABILITY.md and
-``python -m repro.obs --help``.
+``ParallelKCore.decompose`` / ``BatchDynamicKCore`` / ``CoreService``.
+Observation is strictly side-effect-free — all regression goldens pass
+bit-exactly with a registry attached and detached, traced or not (lint
+rule R006 keeps it that way) — and snapshots are byte-deterministic.
+See docs/OBSERVABILITY.md and ``python -m repro.obs --help``.
 """
 
 from __future__ import annotations
@@ -62,9 +65,10 @@ def observing(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
     """Install ``registry`` as the process-wide default for a block.
 
     Every :class:`~repro.runtime.simulator.SimRuntime` (and every
-    guarded hook) inside the block records into ``registry``; the
-    previous default is restored on exit — the detach half of the
-    attach/detach protocol.
+    guarded hook) inside the block records into ``registry`` — the way
+    to observe engines whose entry points build their own runtimes (the
+    baselines, BZ).  The previous default is restored on exit: the
+    detach half of the attach/detach protocol.
     """
     previous = set_active_registry(registry)
     try:

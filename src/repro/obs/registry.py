@@ -1,17 +1,22 @@
-"""The metrics registry: deterministic counters, gauges and histograms.
+"""The metrics registry: the one observer of an execution.
 
-A :class:`MetricsRegistry` is the numeric twin of the span tracer
-(:class:`repro.trace.Tracer`): it attaches to an execution — explicitly
-via ``registry=`` kwargs, or process-wide via
-:func:`repro.obs.observing` — and accumulates *totals* (cache hits,
-kernel dispatches, serve commits, staleness histograms) where the tracer
-records a *timeline*.  Like the tracer it is strictly observational
-(lint rule R008):
+A :class:`MetricsRegistry` attaches to an execution — explicitly via
+``registry=`` kwargs, or process-wide via :func:`repro.obs.observing` —
+and accumulates *totals*: ledger steps and rounds, cache hits, kernel
+dispatches, serve commits, staleness histograms.  Given a span tracer
+(``MetricsRegistry(label, tracer=Tracer(threads))``, see
+:mod:`repro.trace`), the same hooks also build the *timeline*: every
+runtime-facing hook (:meth:`~MetricsRegistry.on_step`,
+:meth:`~MetricsRegistry.on_round`, :meth:`~MetricsRegistry.on_subround`,
+:meth:`~MetricsRegistry.instant`, :meth:`~MetricsRegistry.host_span`)
+updates the registry's counters first, then forwards to the tracer.
 
-* registry code never charges the simulated ledger, never draws
+Observation is strictly side-effect-free (lint rule R006):
+
+* observer code never charges the simulated ledger, never draws
   randomness, and never mutates ``RunMetrics`` — the regression goldens
-  pass bit-exactly with a registry attached and detached;
-* every hook outside ``repro/obs/`` is guarded by an
+  pass bit-exactly with a registry attached and detached, traced or not;
+* every hook outside the observability packages is guarded by an
   ``is not None`` check, so the unobserved path stays zero-cost;
 * wall-clock readings enter only through values measured by the one
   sanctioned reader, :mod:`repro.bench.wallclock`, and live in a
@@ -19,7 +24,8 @@ records a *timeline*.  Like the tracer it is strictly observational
   simulated-clock family (``sim``) under one metric name.
 
 Snapshots (:meth:`MetricsRegistry.to_snapshot`) are schema-versioned and
-bit-deterministic: two same-seed runs produce byte-identical JSON.
+bit-deterministic: two same-seed runs produce byte-identical JSON, with
+or without a tracer facet.
 """
 
 from __future__ import annotations
@@ -195,30 +201,90 @@ class Mark:
 
 
 class MetricsRegistry:
-    """Collects the metrics of one observed execution.
+    """Collects the metrics (and, with a tracer, the timeline) of a run.
 
-    Mirrors the tracer's attach protocol: ``SimRuntime`` calls
-    :meth:`attach` when constructed under an active registry, restarts
-    re-attach the same registry, and detaching is leaving the
-    :func:`repro.obs.observing` block (or passing ``registry=None``).
+    ``SimRuntime`` calls :meth:`attach` when constructed under a
+    registry, restarts re-attach the same registry, and detaching is
+    leaving the :func:`repro.obs.observing` block (or passing
+    ``registry=None``).  ``tracer`` is the optional timeline facet, a
+    :class:`repro.trace.Tracer`: the runtime-facing hooks forward to it
+    after updating the counters, which are the same with or without it.
     """
 
-    def __init__(self, label: str = "run") -> None:
+    def __init__(self, label: str = "run", tracer=None) -> None:
         self.label = label
+        #: The timeline facet (a :class:`repro.trace.Tracer`), or None.
+        self.tracer = tracer
         self.attached = 0  # runtimes observed (restarts re-attach)
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
         self.marks: list[Mark] = []
 
     # ------------------------------------------------------------------
-    # Attach protocol (mirrors Tracer)
+    # Runtime-facing hooks (every call outside the observability
+    # packages is R006-guarded)
     # ------------------------------------------------------------------
     def attach(self, runtime) -> None:
         """Adopt a runtime; called by ``SimRuntime`` on construction."""
-        self.attached += 1
+        self.attach_model(runtime.model)
 
     def attach_model(self, model) -> None:
         """Adopt a bare cost model (runtime-less sequential engines)."""
         self.attached += 1
+        if self.tracer is not None:
+            self.tracer.attach_model(model)
+
+    def on_step(
+        self,
+        kind: str,
+        work: float,
+        span: float,
+        barriers: int,
+        tag: str,
+        atomics: int = 0,
+        max_contention: int = 0,
+    ) -> None:
+        """One ledger step: count it, its work and its atomics."""
+        self._counter(f"runtime.steps.{kind}").value += 1.0
+        self._counter("runtime.work").value += float(work)
+        if atomics:
+            self._counter("runtime.atomics").value += float(atomics)
+        if self.tracer is not None:
+            self.tracer.on_step(
+                kind, work, span, barriers, tag, atomics, max_contention
+            )
+
+    def on_round(self, k: int | None = None) -> None:
+        """A peeling round begins (``k``: its coreness, when known)."""
+        self._counter("runtime.rounds").value += 1.0
+        if self.tracer is not None:
+            self.tracer.on_round(k)
+
+    def on_subround(self, frontier_size: int) -> None:
+        """A subround begins over ``frontier_size`` frontier vertices."""
+        self._counter("runtime.subrounds").value += 1.0
+        if self.tracer is not None:
+            self.tracer.on_subround(frontier_size)
+
+    def instant(self, name: str, **args: object) -> None:
+        """A point event (kernel regime, resample, restart, commit, ...)."""
+        if self.tracer is not None:
+            self.tracer.instant(name, **args)
+
+    def host_span(
+        self,
+        name: str,
+        wall_s: float,
+        track: str = "bench",
+        start_s: float | None = None,
+        **args: object,
+    ) -> None:
+        """A *host* wall-clock span measured by the caller.
+
+        The observer never reads a clock (R006): callers measure with
+        :func:`repro.bench.wallclock.measure` and hand the seconds in.
+        """
+        if self.tracer is not None:
+            self.tracer.host_span(name, wall_s, track, start_s, **args)
 
     # ------------------------------------------------------------------
     # Declaration and lookup
@@ -283,7 +349,7 @@ class MetricsRegistry:
             )
 
     # ------------------------------------------------------------------
-    # Mutation hooks (every call outside repro/obs/ is R008-guarded)
+    # Mutation hooks (every call outside repro/obs/ is R006-guarded)
     # ------------------------------------------------------------------
     def inc(self, name: str, value: float = 1.0, family: str = SIM) -> None:
         """Increment counter ``name`` by ``value`` (must be >= 0)."""
@@ -293,7 +359,18 @@ class MetricsRegistry:
             raise ValueError(
                 f"counter {name!r}: increments must be >= 0, got {value}"
             )
-        self._register(Counter(name, family)).value += value
+        self._counter(name, family).value += value
+
+    def _counter(self, name: str, family: str = SIM) -> Counter:
+        """Counter ``name``, registered on first use (no throwaway)."""
+        metric = self._metrics.get(name)
+        if (
+            metric is None
+            or metric.kind != "counter"
+            or metric.family != family
+        ):
+            metric = self._register(Counter(name, family))
+        return metric
 
     def set_gauge(self, name: str, value: float, family: str = SIM) -> None:
         """Set gauge ``name`` to ``value``."""
@@ -386,7 +463,7 @@ class MetricsRegistry:
 
 
 # ----------------------------------------------------------------------
-# The process-wide active registry (mirrors runtime.simulator's tracer)
+# The process-wide active registry: the one attach slot
 # ----------------------------------------------------------------------
 _ACTIVE_REGISTRY: MetricsRegistry | None = None
 

@@ -29,6 +29,7 @@ import os
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -263,11 +264,21 @@ def _ledger_diff(base: dict, got: dict) -> str:
     return f"extra ledger keys {sorted(set(got) - set(base))}"
 
 
+@lru_cache(maxsize=1)
+def _inline_reference(graph: CSRGraph, mode: str):
+    """The inline run of ``graph`` in kernel ``mode`` (the cache key).
+
+    Shard cases come grouped by graph, so the one entry serves every
+    worker count; a ddmin-shrunk graph is a new object and runs anew.
+    """
+    return _shard_run(graph, DEFAULT_COST_MODEL, workers=0)
+
+
 def _compare_shard(run: Callable, case: Case) -> Divergence | None:
     got = run(case.graph, DEFAULT_COST_MODEL, workers=case.workers)
     if case.workers == 0:
         return _mismatch(bz_core(case.graph).coreness, got.coreness, "BZ")
-    inline = _shard_run(case.graph, DEFAULT_COST_MODEL, workers=0)
+    inline = _inline_reference(case.graph, kernel_mode())
     divergence = _mismatch(inline.coreness, got.coreness, "inline")
     if divergence is not None:
         return divergence

@@ -19,17 +19,14 @@ records what the same logical execution would cost in the work / span /
 burdened-span / contention model, which is exactly the vocabulary the
 paper's own analysis and Cilkview measurements use.
 
-A :class:`~repro.trace.Tracer` may observe a runtime (``tracer=`` kwarg,
-or the process-wide default installed with :func:`set_active_tracer`).
-Tracing is strictly observational: every tracer call is guarded by an
-``is not None`` check (lint rule R006), the tracer never charges work or
-draws randomness, and with no tracer attached the only overhead is that
-guard — the ledger is bit-identical either way.
-
-A :class:`~repro.obs.MetricsRegistry` may likewise observe a runtime
+A :class:`~repro.obs.MetricsRegistry` may observe a runtime
 (``registry=`` kwarg, or process-wide via :func:`repro.obs.observing`):
-it accumulates step/round counters under the same observational
-contract, enforced by lint rule R008.
+it counts steps and rounds and, given a :class:`~repro.trace.Tracer`
+facet, records the timeline.  Observation is strictly side-effect-free:
+every hook is guarded by an ``is not None`` check (lint rule R006), the
+observer never charges work or draws randomness, and with no registry
+attached the only overhead is that guard — the ledger is bit-identical
+either way.
 """
 
 from __future__ import annotations
@@ -40,30 +37,6 @@ from repro.obs.registry import active_registry
 from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.runtime.metrics import RunMetrics
 
-#: Process-wide default tracer, attached to every newly constructed
-#: :class:`SimRuntime` that was not given an explicit ``tracer=``.  Lets
-#: the trace CLI and the benchmark runner trace engines (the baselines,
-#: the sequential BZ) whose entry points construct their own runtimes.
-_ACTIVE_TRACER = None
-
-
-def set_active_tracer(tracer) -> object | None:
-    """Install the process-wide default tracer; returns the previous one.
-
-    Pass ``None`` to uninstall.  Prefer the :func:`repro.trace.tracing`
-    context manager, which restores the previous tracer on exit.
-    """
-    global _ACTIVE_TRACER
-    previous = _ACTIVE_TRACER
-    _ACTIVE_TRACER = tracer
-    return previous
-
-
-def active_tracer() -> object | None:
-    """The currently installed process-wide default tracer (or ``None``)."""
-    return _ACTIVE_TRACER
-
-
 class SimRuntime:
     """Accounting context for one simulated parallel execution."""
 
@@ -71,7 +44,6 @@ class SimRuntime:
         self,
         model: CostModel | None = None,
         record_task_costs: bool = False,
-        tracer=None,
         registry=None,
     ) -> None:
         self.model = model if model is not None else DEFAULT_COST_MODEL
@@ -79,25 +51,12 @@ class SimRuntime:
         #: Retain per-task cost arrays on every step (memory-heavy; used
         #: by the greedy-scheduling validation in runtime.list_schedule).
         self.record_task_costs = record_task_costs
-        #: Observing tracer, or None (the default: tracing is absent).
-        self.tracer = tracer if tracer is not None else _ACTIVE_TRACER
-        if self.tracer is not None:
-            self.tracer.attach(self)
-        #: Observing metrics registry, or None (metrics are absent).
+        #: The observing registry, or None (the default: unobserved).
         self.registry = (
             registry if registry is not None else active_registry()
         )
         if self.registry is not None:
             self.registry.attach(self)
-
-    def _observe_step(self, kind: str, work: float, atomics: int) -> None:
-        """Feed one ledger step to the registry (caller guards != None)."""
-        registry = self.registry
-        if registry is not None:
-            registry.inc(f"runtime.steps.{kind}")
-            registry.inc("runtime.work", work)
-            if atomics:
-                registry.inc("runtime.atomics", atomics)
 
     # ------------------------------------------------------------------
     # Parallel constructs
@@ -127,9 +86,8 @@ class SimRuntime:
             work, span, barriers, tag,
             task_costs=self._retain(task_costs, count),
         )
-        if self.tracer is not None:
-            self.tracer.on_step("parallel_for", work, span, barriers, tag)
-        self._observe_step("parallel_for", work, 0)
+        if self.registry is not None:
+            self.registry.on_step("parallel_for", work, span, barriers, tag)
 
     def parallel_update(
         self,
@@ -168,12 +126,11 @@ class SimRuntime:
             task_costs=self._retain(task_costs, count),
         )
         self.metrics.observe_contention(max_contention, n_atomics)
-        if self.tracer is not None:
-            self.tracer.on_step(
+        if self.registry is not None:
+            self.registry.on_step(
                 "parallel_update", work, span, barriers, tag,
-                atomics=n_atomics, max_contention=max_contention,
+                n_atomics, max_contention,
             )
-        self._observe_step("parallel_update", work, n_atomics)
 
     def _retain(self, task_costs, count):
         """Materialize the per-task cost array when recording is on."""
@@ -187,18 +144,16 @@ class SimRuntime:
         """Charge work executed on a single thread."""
         if work:
             self.metrics.record_sequential(float(work), tag)
-            if self.tracer is not None:
-                self.tracer.on_step(
+            if self.registry is not None:
+                self.registry.on_step(
                     "sequential", float(work), float(work), 0, tag
                 )
-            self._observe_step("sequential", float(work), 0)
 
     def barrier_only(self, count: int = 1, tag: str = "") -> None:
         """Charge ``count`` extra synchronization phases with no work."""
         self.metrics.record_parallel(0.0, 0.0, count, tag)
-        if self.tracer is not None:
-            self.tracer.on_step("barrier_only", 0.0, 0.0, count, tag)
-        self._observe_step("barrier_only", 0.0, 0)
+        if self.registry is not None:
+            self.registry.on_step("barrier_only", 0.0, 0.0, count, tag)
 
     def imbalanced_step(
         self,
@@ -217,11 +172,10 @@ class SimRuntime:
         work = float(works.sum())
         span = float(works.max()) if works.size else 0.0
         self.metrics.record_parallel(work, span, barriers, tag)
-        if self.tracer is not None:
-            self.tracer.on_step(
+        if self.registry is not None:
+            self.registry.on_step(
                 "imbalanced_step", work, span, barriers, tag
             )
-        self._observe_step("imbalanced_step", work, 0)
 
     # ------------------------------------------------------------------
     # Peeling-structure counters
@@ -230,24 +184,20 @@ class SimRuntime:
         """Note the start of a peeling round (one coreness value).
 
         ``k`` is the coreness value the round peels, when the caller
-        knows it; it only feeds the tracer's span labels and per-round
+        knows it; it only feeds the observer's span labels and per-round
         telemetry, never the ledger.
         """
         self.metrics.rounds += 1
-        if self.tracer is not None:
-            self.tracer.on_round(k)
         if self.registry is not None:
-            self.registry.inc("runtime.rounds")
+            self.registry.on_round(k)
 
     def begin_subround(self, frontier_size: int) -> None:
         """Note the start of a peeling subround over ``frontier_size``."""
         self.metrics.subrounds += 1
         if frontier_size > self.metrics.peak_frontier:
             self.metrics.peak_frontier = frontier_size
-        if self.tracer is not None:
-            self.tracer.on_subround(int(frontier_size))
         if self.registry is not None:
-            self.registry.inc("runtime.subrounds")
+            self.registry.on_subround(int(frontier_size))
 
     # ------------------------------------------------------------------
     # Results

@@ -32,7 +32,7 @@ from repro.obs import (
 )
 from repro.runtime.cost_model import DEFAULT_COST_MODEL
 from repro.serve import run_service
-from repro.trace import Tracer, tracing, write_trace
+from repro.trace import Tracer, write_trace
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,21 +146,17 @@ def main(argv: list[str] | None = None) -> int:
         "interval_ns": args.interval,
         "seed": args.seed,
     }
-    registry = MetricsRegistry(label=f"serve/{args.graph}/{args.profile}")
+    registry = MetricsRegistry(
+        label=f"serve/{args.graph}/{args.profile}",
+        tracer=Tracer() if args.trace else None,
+    )
     with observing(registry):
-        if args.trace:
-            tracer = Tracer(label=f"serve/{args.graph}/{args.profile}")
-            with tracing(tracer):
-                report = run_service(
-                    graph, events, threads=args.threads, context=context,
-                    registry=registry,
-                )
-            write_trace(tracer, args.trace, registry=registry)
-        else:
-            report = run_service(
-                graph, events, threads=args.threads, context=context,
-                registry=registry,
-            )
+        report = run_service(
+            graph, events, threads=args.threads, context=context,
+            registry=registry,
+        )
+    if args.trace:
+        write_trace(registry, args.trace)
 
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.output:

@@ -139,7 +139,6 @@ def shard_coreness(
         )
 
     registry = runtime.registry
-    tracer = runtime.tracer
     if registry is not None:
         registry.set_gauge(
             "shard.workers", float(pool.shards if pool is not None else 0)
@@ -199,11 +198,11 @@ def shard_coreness(
                 "shard H-index iteration did not converge within the "
                 "round limit"
             )
-        if tracer is not None:
+        if registry is not None:
             for shard in range(pool.shards if pool is not None else 0):
                 offset = 0.0
                 for index, walls in enumerate(round_walls, start=1):
-                    tracer.host_span(
+                    registry.host_span(
                         f"shard round {index}",
                         walls[shard],
                         track=f"worker {shard}",

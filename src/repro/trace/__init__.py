@@ -1,27 +1,27 @@
 """Structured span tracing on the simulated clock.
 
-The observability layer of the simulated runtime: attach a
-:class:`Tracer` to an execution (``tracer=`` kwarg on
+The timeline facet of the one observer: give a
+:class:`~repro.obs.MetricsRegistry` a :class:`Tracer`
+(``MetricsRegistry(label, tracer=Tracer(threads))``), attach the
+registry to an execution (``registry=`` kwarg on
 :func:`repro.core.framework.decompose` / ``ParallelKCore.decompose``, or
-process-wide via :func:`tracing`) and export the resulting timeline as
+process-wide via :func:`repro.obs.observing`) and export the resulting
+timeline as
 
 * Chrome/Perfetto trace-event JSON (:func:`write_trace`,
   loadable in https://ui.perfetto.dev),
 * a plain-text per-round timeline (:func:`render_text`),
 * a collapsed-stack flamegraph of tag costs (:func:`render_flamegraph`).
 
-Tracing is zero-cost and absent by default, strictly observational
-(the regression goldens pass bit-exactly with tracing on and off), and
-deterministic — lint rule R006 keeps it that way.  See
-docs/OBSERVABILITY.md and ``python -m repro.trace --help``.
+Every exporter takes the registry.  Tracing is zero-cost and absent by
+default, strictly observational (the regression goldens pass
+bit-exactly with tracing on and off), and deterministic — lint rule
+R006 keeps it that way.  See docs/OBSERVABILITY.md and
+``python -m repro.trace --help``.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator
-
-from repro.runtime.simulator import active_tracer, set_active_tracer
 from repro.trace.export_flame import collapsed_stacks, render_flamegraph
 from repro.trace.export_perfetto import (
     render_perfetto,
@@ -36,36 +36,15 @@ from repro.trace.tracer import (
     Tracer,
 )
 
-
-@contextmanager
-def tracing(tracer: Tracer) -> Iterator[Tracer]:
-    """Install ``tracer`` as the process-wide default for a block.
-
-    Every :class:`~repro.runtime.simulator.SimRuntime` constructed inside
-    the block attaches to ``tracer`` — the way to trace engines whose
-    entry points build their own runtimes (the baselines, BZ).  The
-    previous default is restored on exit and the trace is finished.
-    """
-    previous = set_active_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        set_active_tracer(previous)
-        tracer.finish()
-
-
 __all__ = [
     "DEFAULT_TRACE_THREADS",
     "TRACE_SCHEMA_VERSION",
     "RoundTelemetry",
     "Tracer",
-    "active_tracer",
     "collapsed_stacks",
     "render_flamegraph",
     "render_perfetto",
     "render_text",
-    "set_active_tracer",
     "to_perfetto",
-    "tracing",
     "write_trace",
 ]

@@ -20,6 +20,7 @@ import sys
 
 from repro.bench.wallclock import measure
 from repro.generators import suite
+from repro.obs import MetricsRegistry, observing
 from repro.regress.matrix import ENGINES
 from repro.runtime.cost_model import DEFAULT_COST_MODEL
 from repro.trace import (
@@ -28,7 +29,6 @@ from repro.trace import (
     render_flamegraph,
     render_perfetto,
     render_text,
-    tracing,
     write_trace,
 )
 
@@ -98,25 +98,25 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     label = f"{args.engine}/{args.graph}" + (".tiny" if args.tiny else "")
-    tracer = Tracer(threads=args.threads, label=label)
-    with tracing(tracer):
+    registry = MetricsRegistry(label, tracer=Tracer(threads=args.threads))
+    with observing(registry):
         with measure() as wall:
             result = ENGINES[args.engine](graph, DEFAULT_COST_MODEL)
-    tracer.host_span(label, wall.wall_s, max_rss_kb=wall.max_rss_kb)
+    registry.host_span(label, wall.wall_s, max_rss_kb=wall.max_rss_kb)
 
     if args.output == "-":
-        print(render_perfetto(tracer))
+        print(render_perfetto(registry))
     else:
         output = args.output or default_output(
             args.engine, args.graph, args.tiny
         )
-        write_trace(tracer, output)
-        print(render_text(tracer))
+        write_trace(registry, output)
+        print(render_text(registry))
         print(f"kmax={int(result.kmax)}  wall={wall.wall_s:.3f}s")
         print(f"wrote {output} (load it in https://ui.perfetto.dev)")
     if args.flame:
         with open(args.flame, "w", encoding="utf-8") as handle:
-            handle.write(render_flamegraph(tracer))
+            handle.write(render_flamegraph(registry))
             handle.write("\n")
         print(f"wrote {args.flame} (collapsed stacks)")
     return 0

@@ -12,18 +12,19 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.trace.tracer import Tracer
+from repro.trace.tracer import timeline
 
 #: Frame used for steps recorded before the first peeling round.
 SETUP_FRAME = "setup"
 
 
-def collapsed_stacks(tracer: Tracer) -> "OrderedDict[str, int]":
+def collapsed_stacks(registry) -> "OrderedDict[str, int]":
     """Aggregated ``stack -> simulated-ns`` mapping, insertion-ordered."""
+    tracer = timeline(registry)
     tracer.finish()
     stacks: OrderedDict[str, int] = OrderedDict()
     for step in tracer.steps:
-        frames = [tracer.label.replace(";", "_")]
+        frames = [registry.label.replace(";", "_")]
         if step.round_index == 0:
             frames.append(SETUP_FRAME)
         else:
@@ -39,9 +40,9 @@ def collapsed_stacks(tracer: Tracer) -> "OrderedDict[str, int]":
     return stacks
 
 
-def render_flamegraph(tracer: Tracer) -> str:
+def render_flamegraph(registry) -> str:
     """The collapsed-stack file contents (one ``stack count`` per line)."""
     return "\n".join(
         f"{stack} {count}"
-        for stack, count in collapsed_stacks(tracer).items()
+        for stack, count in collapsed_stacks(registry).items()
     )

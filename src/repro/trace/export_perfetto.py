@@ -18,18 +18,19 @@ Timestamps: the simulated clock counts ops == nanoseconds; trace-event
 ``ts``/``dur`` are microseconds, so values are divided by 1000 (floats
 are legal and keep the export bit-deterministic).
 
-Pass ``registry=`` (a :class:`repro.obs.MetricsRegistry`) to add its
-epoch marks as ``obs/<metric>`` counter tracks on the simulated
-timeline, plus one final sample of every scalar ``sim`` metric at the
-trace end — metrics and spans then correlate on one clock.  With no
-registry the payload is byte-identical to the registry-less export.
+Every exporter takes the observing :class:`repro.obs.MetricsRegistry`
+and renders its tracer facet.  The registry's epoch marks become
+``obs/<metric>`` counter tracks on the simulated timeline, plus one
+final sample of every scalar ``sim`` metric at the trace end — metrics
+and spans then correlate on one clock.  The counter tracks are purely
+additive: the other events are those of the tracer alone.
 """
 
 from __future__ import annotations
 
 import json
 
-from repro.trace.tracer import TRACE_SCHEMA_VERSION, Tracer
+from repro.trace.tracer import TRACE_SCHEMA_VERSION, timeline
 
 #: Process id of the simulated core-group tracks.
 SIM_PID = 1
@@ -88,12 +89,13 @@ def _registry_counter_events(registry, end_ts: float) -> list[dict]:
     return events
 
 
-def to_perfetto(tracer: Tracer, registry=None) -> dict:
+def to_perfetto(registry) -> dict:
     """The full trace as a Chrome/Perfetto trace-event JSON object."""
+    tracer = timeline(registry)
     tracer.finish()
     events: list[dict] = [
         _meta(SIM_PID, None, "process_name",
-              f"simulated @{tracer.threads} threads: {tracer.label}"),
+              f"simulated @{tracer.threads} threads: {registry.label}"),
         _meta(SIM_PID, TID_ROUNDS, "thread_name", "rounds"),
         _meta(SIM_PID, TID_SUBROUNDS, "thread_name", "subrounds"),
         _meta(SIM_PID, TID_STEPS, "thread_name", "steps"),
@@ -179,8 +181,7 @@ def to_perfetto(tracer: Tracer, registry=None) -> dict:
             }
         )
 
-    if registry is not None:
-        events.extend(_registry_counter_events(registry, tracer.clock))
+    events.extend(_registry_counter_events(registry, tracer.clock))
 
     host_cursor: dict[str, float] = {}
     for host in tracer.host_spans:
@@ -209,7 +210,7 @@ def to_perfetto(tracer: Tracer, registry=None) -> dict:
         "displayTimeUnit": "ms",
         "otherData": {
             "trace_schema_version": TRACE_SCHEMA_VERSION,
-            "label": tracer.label,
+            "label": registry.label,
             "threads": tracer.threads,
             "attempts": tracer.attempts,
             "clock_domain": "simulated ops (=ns); ts/dur in us",
@@ -222,16 +223,14 @@ def to_perfetto(tracer: Tracer, registry=None) -> dict:
     }
 
 
-def render_perfetto(tracer: Tracer, registry=None) -> str:
+def render_perfetto(registry) -> str:
     """The Perfetto JSON serialized with a stable key order."""
-    return json.dumps(
-        to_perfetto(tracer, registry=registry), indent=1, sort_keys=True
-    )
+    return json.dumps(to_perfetto(registry), indent=1, sort_keys=True)
 
 
-def write_trace(tracer: Tracer, path: str, registry=None) -> str:
+def write_trace(registry, path: str) -> str:
     """Write the Perfetto JSON to ``path``; returns ``path``."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(render_perfetto(tracer, registry=registry))
+        handle.write(render_perfetto(registry))
         handle.write("\n")
     return path

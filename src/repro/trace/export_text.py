@@ -7,7 +7,7 @@ simulated microseconds (the clock counts ops == ns).
 
 from __future__ import annotations
 
-from repro.trace.tracer import TRACE_SCHEMA_VERSION, Tracer
+from repro.trace.tracer import TRACE_SCHEMA_VERSION, timeline
 
 
 def _round_line(rnd: dict) -> str:
@@ -42,12 +42,12 @@ def _round_line(rnd: dict) -> str:
     return line
 
 
-def render_text(tracer: Tracer) -> str:
-    """Human-readable timeline of the whole trace."""
-    tracer.finish()
+def render_text(registry) -> str:
+    """Human-readable timeline of the registry's whole trace."""
+    tracer = timeline(registry)
     telemetry = tracer.telemetry()
     lines = [
-        f"trace: {tracer.label} (simulated @{tracer.threads} threads, "
+        f"trace: {registry.label} (simulated @{tracer.threads} threads, "
         f"schema v{TRACE_SCHEMA_VERSION})",
         f"  clock: {tracer.clock / 1e3:,.1f}us simulated, "
         f"{len(tracer.steps)} steps, {len(telemetry)} rounds, "

@@ -1,9 +1,10 @@
-"""The span/event tracer: a pure observer of one simulated execution.
+"""The span tracer: the timeline facet of the one observer.
 
-A :class:`Tracer` attaches to a :class:`~repro.runtime.simulator.SimRuntime`
-and turns the runtime's existing hooks — ``begin_round``,
-``begin_subround`` and the charge methods — into a timeline on the
-**simulated clock**: each ledger step advances the clock by its
+A :class:`Tracer` rides on a :class:`~repro.obs.MetricsRegistry`
+(``MetricsRegistry(label, tracer=Tracer(threads))``), whose
+runtime-facing hooks forward to it: ``SimRuntime``'s ``begin_round``,
+``begin_subround`` and charge methods become a timeline on the
+**simulated clock**.  Each ledger step advances the clock by its
 work-stealing-bound duration at the tracer's thread count (the same
 :func:`~repro.runtime.metrics.step_time_parts` formula behind
 ``RunMetrics.time_on``), and rounds/subrounds become nested spans with
@@ -16,8 +17,8 @@ Tracing is strictly observational and deterministic (lint rule R006):
   randomness — two identical runs traced or untraced produce the same
   ``RunMetrics`` bit-for-bit, and two traced runs the same event stream;
 * the tracer never reads a host clock — *host* wall-clock spans are
-  injected by the caller via :meth:`host_span`, measured with the one
-  sanctioned reader, :mod:`repro.bench.wallclock`.
+  injected by the caller via the registry's ``host_span``, measured
+  with the one sanctioned reader, :mod:`repro.bench.wallclock`.
 """
 
 from __future__ import annotations
@@ -151,18 +152,14 @@ class Tracer:
     """Collects the trace of one (or several, under restarts) runtimes.
 
     One tracer instance corresponds to one logical execution: the
-    Las-Vegas restart recovery re-attaches the same tracer to each fresh
-    runtime, so the timeline spans every attempt and the simulated clock
-    keeps accumulating across restarts.
+    Las-Vegas restart recovery re-attaches the same registry (and so the
+    same tracer) to each fresh runtime, so the timeline spans every
+    attempt and the simulated clock keeps accumulating across restarts.
+    The run's label is its registry's.
     """
 
-    def __init__(
-        self,
-        threads: int = DEFAULT_TRACE_THREADS,
-        label: str = "run",
-    ) -> None:
+    def __init__(self, threads: int = DEFAULT_TRACE_THREADS) -> None:
         self.threads = int(threads)
-        self.label = label
         self.model = None  # set at attach
         self.clock = 0.0  # simulated ns
         self.attempts = 0  # runtimes attached (restarts re-attach)
@@ -184,14 +181,10 @@ class Tracer:
         self._finished = False
 
     # ------------------------------------------------------------------
-    # Runtime-facing hooks (all calls guarded by the caller, R006)
+    # Hooks (the registry forwards its runtime-facing hooks here)
     # ------------------------------------------------------------------
-    def attach(self, runtime) -> None:
-        """Adopt ``runtime``'s cost model; called by ``SimRuntime``."""
-        self.attach_model(runtime.model)
-
     def attach_model(self, model) -> None:
-        """Adopt a cost model directly (runtime-less sequential engines)."""
+        """Adopt the cost model of an attached runtime (or bare engine)."""
         self.model = model
         if self.threads > 1:
             self._p_eff = model.effective_cores(self.threads)
@@ -304,13 +297,6 @@ class Tracer:
         elif name == "validate":
             rnd.validate_failures += int(args.get("failures", 0))
 
-    def counter(self, name: str, value: float) -> None:
-        """Sample a counter track at the current simulated time."""
-        self.counters.append(CounterSample(name, self.clock, value))
-
-    # ------------------------------------------------------------------
-    # Caller-facing API
-    # ------------------------------------------------------------------
     def host_span(
         self,
         name: str,
@@ -330,6 +316,13 @@ class Tracer:
             HostSpan(name, float(wall_s), dict(args), track, start_s)
         )
 
+    def counter(self, name: str, value: float) -> None:
+        """Sample a counter track at the current simulated time."""
+        self.counters.append(CounterSample(name, self.clock, value))
+
+    # ------------------------------------------------------------------
+    # Caller-facing API
+    # ------------------------------------------------------------------
     def finish(self) -> None:
         """Close any open spans; idempotent."""
         if self._finished:
@@ -384,3 +377,14 @@ class Tracer:
         )
         self.rounds.append(rnd)
         self._round = None
+
+
+def timeline(registry) -> Tracer:
+    """The tracer facet of ``registry`` (a ValueError if it has none)."""
+    tracer = registry.tracer
+    if tracer is None:
+        raise ValueError(
+            f"registry {registry.label!r} has no tracer facet; construct "
+            "it as MetricsRegistry(label, tracer=Tracer(threads))"
+        )
+    return tracer

@@ -41,7 +41,7 @@ def assert_exact(engine: BatchDynamicKCore, context=None):
 
 
 def assert_diff(result: BatchResult, before: np.ndarray, after: np.ndarray):
-    """The reported raised/lowered sets match the coreness diff.
+    """The reported per-phase raised/lowered sets match the coreness diff.
 
     Deletions apply before insertions, so a vertex lowered by one phase
     and raised by the other is in both sets; every other vertex is in a
@@ -102,6 +102,9 @@ def test_exact_after_every_batch(small_er, seed):
         result = engine.apply_batch(insertions=ins, deletions=dels)
         assert_exact(engine, (seed, index))
         assert_diff(result, before, engine.coreness)
+        assert np.array_equal(
+            result.changed, np.flatnonzero(engine.coreness != before)
+        ), (seed, index)
         edges = (edges - set(dels)) | set(ins)
         assert engine.snapshot() == CSRGraph.from_edges(
             small_er.n, sorted(edges)
@@ -327,7 +330,7 @@ def test_native_unavailable_falls_back(monkeypatch):
 
 
 def test_tracing_does_not_change_the_ledger(small_er):
-    from repro.trace import Tracer, tracing
+    from repro.trace import Tracer
 
     rng = np.random.default_rng(9)
     batches = random_batches(small_er, rng, 3, 8)
@@ -337,8 +340,8 @@ def test_tracing_does_not_change_the_ledger(small_er):
         engine.apply_batch(insertions=ins, deletions=dels)
     untraced = engine.metrics.to_stable_dict(DEFAULT_COST_MODEL)
 
-    tracer = Tracer(label="batch-test")
-    with tracing(tracer):
+    registry = MetricsRegistry("batch-test", tracer=Tracer())
+    with observing(registry):
         traced_engine = BatchDynamicKCore(small_er)
         for ins, dels in batches:
             traced_engine.apply_batch(insertions=ins, deletions=dels)
@@ -347,7 +350,7 @@ def test_tracing_does_not_change_the_ledger(small_er):
     assert traced == untraced
     assert np.array_equal(engine.coreness, traced_engine.coreness)
     assert any(
-        event.name == "batch_commit" for event in tracer.instants
+        event.name == "batch_commit" for event in registry.tracer.instants
     )
 
 

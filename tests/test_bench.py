@@ -22,6 +22,7 @@ from repro.bench.runner import (
     execute,
     run_cell,
 )
+from repro.perf import AUTO, KERNELS_ENV, REFERENCE
 from repro.regress.matrix import ENGINES
 
 
@@ -144,6 +145,20 @@ class TestRunner:
             for c in rep["cells"]
         ]
         assert fingerprint(inline) == fingerprint(pooled)
+
+    def test_default_cell_runs_reference_without_compiler(
+        self, monkeypatch
+    ):
+        import repro.perf as perf
+
+        monkeypatch.setenv(KERNELS_ENV, AUTO)
+        monkeypatch.setattr(perf, "native_available", lambda: False)
+        monkeypatch.setattr(perf, "_fallback_warned", False)
+        with pytest.warns(RuntimeWarning, match="no C compiler"):
+            cell = BenchCell("ours", "GL2-S", size="tiny")
+        assert cell.kernels == REFERENCE
+        assert cell.label == "ours/GL2-S/tiny/reference"
+        assert run_cell(cell)["coreness"]
 
     def test_payload_matches_direct_run(self):
         from repro.generators import suite

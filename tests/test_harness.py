@@ -14,7 +14,7 @@ from repro.core.baselines.julienne import julienne_kcore
 from repro.core.sequential import bz_core
 from repro.generators import suite
 from repro.perf import KERNELS_ENV, REFERENCE
-from repro.regress import load_reproducer, replay, run_oracle
+from repro.regress import harness, load_reproducer, replay, run_oracle
 from repro.regress.cli import COMMANDS, build_parser
 from repro.shard import shard_coreness
 
@@ -58,11 +58,20 @@ class TestRaisedRule:
 
 
 class TestShardSubject:
-    def test_clean_sweep_of_one_small_graph(self):
+    def test_clean_sweep_of_one_small_graph(self, monkeypatch):
+        inline_runs = []
+
+        def counted(graph, model, workers):
+            inline_runs.append(workers)
+            return shard_coreness(graph, model, workers=workers)
+
+        monkeypatch.setattr(harness, "_shard_run", counted)
         report = run_oracle("shard", ["GRID"], workers=(1, 2))
         assert report.findings == []
         # Worker count 0 (inline vs BZ) anchors every graph.
         assert report.cases == 3
+        # The pooled cases share one inline reference run.
+        assert inline_runs == [0]
 
     def test_faulty_pooled_runner_is_found_minimized_and_dumped(
         self, tmp_path

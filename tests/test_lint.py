@@ -40,12 +40,13 @@ def rule_ids(findings) -> list[str]:
 # Registry
 # ----------------------------------------------------------------------
 class TestRegistry:
-    def test_all_nine_rules_registered(self):
+    def test_all_eight_rules_registered(self):
         ids = [rule.rule_id for rule in all_rules()]
         assert ids == [
-            "R001", "R002", "R003", "R004", "R005", "R006", "R007",
-            "R008", "R009",
+            "R001", "R002", "R003", "R004", "R005", "R006", "R007", "R009",
         ]
+        with pytest.raises(KeyError):
+            get_rule("R008")  # retired into R006, never reused
 
     def test_rules_have_names_and_summaries(self):
         for rule in all_rules():
@@ -522,7 +523,7 @@ class TestR005MagicCostConstant:
 
 
 # ----------------------------------------------------------------------
-# R006 trace-side-effect
+# R006 observer-side-effect: clocks, the trace package, tracer hooks
 # ----------------------------------------------------------------------
 class TestR006TraceSideEffect:
     def test_clock_read_in_repro_package_is_flagged(self):
@@ -592,7 +593,7 @@ class TestR006TraceSideEffect:
         findings = lint(
             """
             def f(self, n):
-                self.tracer.on_step("seq", 1.0, 1.0, 0, "t")
+                self.registry.on_step("seq", 1.0, 1.0, 0, "t")
             """,
             select=["R006"],
         )
@@ -603,8 +604,9 @@ class TestR006TraceSideEffect:
         findings = lint(
             """
             def f(self, n):
-                if self.tracer is not None:
-                    self.tracer.on_step("seq", 1.0, 1.0, 0, "t")
+                if self.registry is not None:
+                    self.registry.on_step("seq", 1.0, 1.0, 0, "t")
+                    self.registry.host_span("cell", 0.5)
             """,
             select=["R006"],
         )
@@ -615,7 +617,7 @@ class TestR006TraceSideEffect:
             """
             def f(self, other):
                 if other is not None:
-                    self.tracer.instant("x")
+                    self.registry.instant("x")
             """,
             select=["R006"],
         )
@@ -624,11 +626,11 @@ class TestR006TraceSideEffect:
     def test_else_branch_of_guard_is_still_flagged(self):
         findings = lint(
             """
-            def f(tracer):
-                if tracer is not None:
+            def f(registry):
+                if registry is not None:
                     pass
                 else:
-                    tracer.instant("x")
+                    registry.on_round(3)
             """,
             select=["R006"],
         )
@@ -637,12 +639,13 @@ class TestR006TraceSideEffect:
     def test_constructed_tracer_is_exempt(self):
         findings = lint(
             """
+            from repro.obs import MetricsRegistry
             from repro.trace import Tracer
 
             def f():
-                tracer = Tracer()
-                tracer.instant("x")
-                return tracer
+                registry = MetricsRegistry("t", tracer=Tracer())
+                registry.instant("x")
+                return registry
             """,
             path="tests/snippet.py",
             select=["R006"],
@@ -653,15 +656,50 @@ class TestR006TraceSideEffect:
         findings = lint(
             """
             def f(self):
-                return self.tracer.telemetry()
+                return self.registry.tracer.telemetry()
             """,
             select=["R006"],
         )
         assert findings == []
 
+    def test_transitive_charge_from_observer_package_is_flagged(
+        self, tmp_path
+    ):
+        from repro.lint.runner import run_lint
+
+        helper = """
+            def drive(runtime):
+                runtime.sequential(1.0, tag="t")
+            """
+        caller = """
+            from repro.core.helper import drive
+
+            def export(runtime):
+                drive(runtime)
+            """
+        for rel, source in {
+            "src/repro/__init__.py": "",
+            "src/repro/core/__init__.py": "",
+            "src/repro/core/helper.py": helper,
+            "src/repro/obs/__init__.py": "",
+            "src/repro/obs/export.py": caller,
+            "src/repro/trace/__init__.py": "",
+            "src/repro/trace/cli.py": caller,
+        }.items():
+            path = tmp_path / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(textwrap.dedent(source), encoding="utf-8")
+        findings = run_lint([tmp_path / "src"], select=["R006"]).findings
+        # The driver module (trace/cli.py) may launch a charging run.
+        assert [(Path(f.path).name, f.rule_id) for f in findings] == [
+            ("export.py", "R006")
+        ]
+        assert "ledger charge is reachable" in findings[0].message
+
 
 # ----------------------------------------------------------------------
-# R008 metrics-side-effect
+# R006 observer-side-effect: the obs package and registry hooks (the
+# former R008 metrics-side-effect, retired into R006)
 # ----------------------------------------------------------------------
 class TestR008MetricsSideEffect:
     def test_unguarded_registry_hook_is_flagged(self):
@@ -670,9 +708,9 @@ class TestR008MetricsSideEffect:
             def f(self):
                 self.registry.inc("runtime.rounds")
             """,
-            select=["R008"],
+            select=["R006"],
         )
-        assert rule_ids(findings) == ["R008"]
+        assert rule_ids(findings) == ["R006"]
         assert "is not None" in findings[0].message
 
     def test_guarded_registry_hook_is_clean(self):
@@ -684,7 +722,7 @@ class TestR008MetricsSideEffect:
                     registry.inc("runtime.rounds")
                     registry.observe("x", 1.0)
             """,
-            select=["R008"],
+            select=["R006"],
         )
         assert findings == []
 
@@ -695,9 +733,9 @@ class TestR008MetricsSideEffect:
                 if other is not None:
                     self.registry.observe("x", 1.0)
             """,
-            select=["R008"],
+            select=["R006"],
         )
-        assert rule_ids(findings) == ["R008"]
+        assert rule_ids(findings) == ["R006"]
 
     def test_else_branch_of_guard_is_still_flagged(self):
         findings = lint(
@@ -708,9 +746,9 @@ class TestR008MetricsSideEffect:
                 else:
                     registry.set_gauge("x", 1.0)
             """,
-            select=["R008"],
+            select=["R006"],
         )
-        assert rule_ids(findings) == ["R008"]
+        assert rule_ids(findings) == ["R006"]
 
     def test_constructed_registry_is_exempt(self):
         findings = lint(
@@ -723,7 +761,7 @@ class TestR008MetricsSideEffect:
                 return registry
             """,
             path="tests/snippet.py",
-            select=["R008"],
+            select=["R006"],
         )
         assert findings == []
 
@@ -734,9 +772,9 @@ class TestR008MetricsSideEffect:
                 runtime.sequential(3.0, tag="oops")
             """,
             path="src/repro/obs/export.py",
-            select=["R008"],
+            select=["R006"],
         )
-        assert rule_ids(findings) == ["R008"]
+        assert rule_ids(findings) == ["R006"]
         assert "charge" in findings[0].message
 
     def test_randomness_inside_obs_package_is_flagged(self):
@@ -748,9 +786,9 @@ class TestR008MetricsSideEffect:
                 return np.random.default_rng(0).random()
             """,
             path="src/repro/obs/export.py",
-            select=["R008"],
+            select=["R006"],
         )
-        assert findings and all(f.rule_id == "R008" for f in findings)
+        assert findings and all(f.rule_id == "R006" for f in findings)
 
     def test_metrics_mutation_inside_obs_package_is_flagged(self):
         findings = lint(
@@ -759,9 +797,9 @@ class TestR008MetricsSideEffect:
                 runtime.metrics.restarts = 1
             """,
             path="src/repro/obs/export.py",
-            select=["R008"],
+            select=["R006"],
         )
-        assert rule_ids(findings) == ["R008"]
+        assert rule_ids(findings) == ["R006"]
         assert "metrics" in findings[0].message
 
     def test_reading_registry_state_is_clean(self):
@@ -770,7 +808,7 @@ class TestR008MetricsSideEffect:
             def f(self):
                 return self.registry.counter_values("cache.")
             """,
-            select=["R008"],
+            select=["R006"],
         )
         assert findings == []
 

@@ -1,10 +1,10 @@
 """repro.obs: metrics registry, exporters, trend gate, observational law.
 
 The two load-bearing suites are determinism (two same-seed observed runs
-produce byte-identical JSON snapshots) and the observational guarantee
-(the blessed regression goldens pass bit-exactly *with a registry
-attached*, without re-blessing anything) — the numeric twin of
-tests/test_trace.py.
+produce byte-identical JSON snapshots, with or without a tracer facet)
+and the observational guarantee (the blessed regression goldens pass
+bit-exactly *with a registry attached*, without re-blessing anything);
+tests/test_trace.py covers the registry's timeline facet.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from repro.bench.cache import DiskCache
 from repro.bench.runner import BenchCell, execute
 from repro.core.batch_dynamic import BatchDynamicKCore
 from repro.core.parallel_kcore import ParallelKCore
-from repro.generators import grid_2d, suite
+from repro.core.sequential import bz_core
+from repro.generators import grid_2d, power_law_with_hub, suite
 from repro.generators.streams import generate_stream
 from repro.obs import (
     DEFAULT_MAX_REGRESS,
@@ -45,7 +46,7 @@ from repro.regress.matrix import run_case, select_cases
 from repro.runtime.simulator import SimRuntime
 from repro.serve import CoreService, run_service
 from repro.serve.__main__ import main as serve_main
-from repro.trace import Tracer, render_perfetto, to_perfetto, tracing
+from repro.trace import Tracer, render_perfetto, to_perfetto
 
 
 # ----------------------------------------------------------------------
@@ -235,6 +236,36 @@ class TestObservationalLaw:
 
         assert one_run() == one_run()
 
+    def test_snapshot_identical_with_tracer_facet(self):
+        def one_run(tracer) -> str:
+            graph = grid_2d(16, 16)
+            registry = MetricsRegistry("facet", tracer=tracer)
+            with observing(registry):
+                ParallelKCore().decompose(power_law_with_hub(
+                    300, 4, hub_count=2, hub_degree=80, seed=7
+                ))
+                events = generate_stream(
+                    graph, "steady", batches=3, batch_size=4, seed=1
+                )
+                run_service(graph, events, registry=registry)
+            return render_json(registry)
+
+        one_run(None)  # the first run loads the kernels: a cache counter
+        traced = Tracer()
+        assert one_run(None) == one_run(traced)
+        assert traced.steps and traced.instants
+
+    def test_bz_counts_its_one_step(self):
+        graph = grid_2d(12, 12)
+        registry = MetricsRegistry("bz")
+        with observing(registry):
+            result = bz_core(graph)
+        assert registry.attached == 1
+        assert registry.counter_values("runtime.") == {
+            "runtime.steps.sequential": 1.0,
+            "runtime.work": result.metrics.work,
+        }
+
     def test_write_snapshot_round_trips(self, tmp_path):
         registry = MetricsRegistry()
         registry.inc("a")
@@ -343,28 +374,32 @@ class TestDashboard:
 
 class TestPerfettoCounterTracks:
     def test_no_registry_is_byte_identical(self):
-        graph = grid_2d(12, 12)
-
-        def traced() -> Tracer:
-            tracer = Tracer(label="t")
-            ParallelKCore().decompose(graph, tracer=tracer)
-            return tracer
-
-        assert render_perfetto(traced()) == render_perfetto(
-            traced(), registry=None
+        """The ``obs/*`` tracks are additive: a counter-less registry on
+        the same tracer exports exactly the other events."""
+        registry = MetricsRegistry("t", tracer=Tracer())
+        ParallelKCore().decompose(grid_2d(12, 12), registry=registry)
+        bare = MetricsRegistry("t", tracer=registry.tracer)
+        full = to_perfetto(registry)
+        full["traceEvents"] = [
+            e for e in full["traceEvents"]
+            if not e["name"].startswith("obs/")
+        ]
+        assert len(full["traceEvents"]) < len(
+            to_perfetto(registry)["traceEvents"]
+        )
+        assert json.dumps(full, indent=1, sort_keys=True) == (
+            render_perfetto(bare)
         )
 
     def test_marks_become_counter_tracks(self):
         graph = grid_2d(12, 12)
-        registry = MetricsRegistry()
-        tracer = Tracer(label="serve")
+        registry = MetricsRegistry("serve", tracer=Tracer())
         events = generate_stream(
             graph, "steady", batches=3, batch_size=4, seed=0
         )
-        with tracing(tracer):
-            service = CoreService(graph, registry=registry)
-            service.replay(events)
-        doc = to_perfetto(tracer, registry=registry)
+        service = CoreService(graph, registry=registry)
+        service.replay(events)
+        doc = to_perfetto(registry)
         obs_events = [
             e for e in doc["traceEvents"]
             if e["name"].startswith("obs/")
@@ -422,6 +457,29 @@ class TestSubsystemCounters:
         warm = execute(cells, cache=cache)
         assert warm["summary"]["caches"]["bench_cell"] == {"hit": 1}
         assert registry.value("cache.bench_cell.miss") == 1.0
+
+    def test_traced_cell_reports_its_caches(self, tmp_path, monkeypatch):
+        from repro.perf import native
+
+        if not native.available():
+            pytest.skip("no C compiler: the .so cache never loads")
+        cell = BenchCell("ours", "GRID", size="tiny", kernels="native")
+        suite.load("GRID", size="tiny")
+        # Unload the kernels: the cell's first native call reloads the
+        # .so, so its cache counter is bumped inside the traced run.
+        monkeypatch.setattr(native, "_available", None)
+        monkeypatch.setattr(native, "_lib", None)
+        registry = MetricsRegistry()
+        with observing(registry):
+            report = execute(
+                [cell],
+                cache=DiskCache(str(tmp_path / "bench")),
+                trace_dir=str(tmp_path / "traces"),
+            )
+        assert report["summary"]["caches"] == {
+            "bench_cell": {"miss": 1},
+            "native_so": {"hit": 1},
+        }
 
     def test_cached_payloads_identical_with_metrics(self, tmp_path):
         cells = [

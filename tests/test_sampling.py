@@ -258,14 +258,13 @@ class TestRestartEscalation:
         original_run_once = fw._run_once
         calls = {"sampled": 0, "exact": 0}
 
-        def flaky(graph, config, model, mu_boost, tracer=None,
-                  registry=None):
+        def flaky(graph, config, model, mu_boost, registry=None):
             if config.sampling:
                 calls["sampled"] += 1
                 raise SamplingRestartError("injected persistent failure")
             calls["exact"] += 1
             return original_run_once(
-                graph, config, model, mu_boost, tracer, registry
+                graph, config, model, mu_boost, registry
             )
 
         monkeypatch.setattr(fw, "_run_once", flaky)

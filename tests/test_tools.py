@@ -3,6 +3,8 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 sys.path.insert(0, str(TOOLS))
 
@@ -31,3 +33,13 @@ class TestApiDocs:
         assert gen_api_docs.main(["prog", str(out)]) == 0
         assert out.exists()
         assert out.read_text().startswith("# API index")
+
+    def test_help_prints_usage_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            gen_api_docs.main(["prog", "--help"])
+        assert exit_info.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []

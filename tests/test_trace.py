@@ -1,9 +1,9 @@
-"""repro.trace: span tracing on the simulated clock, exporters, CLI.
+"""repro.trace: the registry's timeline facet, exporters, CLI.
 
 The two load-bearing suites here are determinism (two traced runs of the
 same input produce byte-identical exports) and the observational
 guarantee (the blessed regression goldens pass bit-exactly *with an
-active tracer attached*, without re-blessing anything).
+active registry carrying a tracer*, without re-blessing anything).
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ from repro.bench.runner import BenchCell, execute, run_cell, trace_path
 from repro.core.framework import FrameworkConfig, decompose
 from repro.core.parallel_kcore import ParallelKCore
 from repro.generators import grid_2d, power_law_with_hub
+from repro.obs import MetricsRegistry, active_registry, observing
 from repro.regress.goldens import read_golden
 from repro.regress.matrix import run_case, select_cases
-from repro.runtime.simulator import SimRuntime, active_tracer
+from repro.runtime.simulator import SimRuntime
 from repro.trace import (
     TRACE_SCHEMA_VERSION,
     Tracer,
@@ -29,7 +30,6 @@ from repro.trace import (
     render_perfetto,
     render_text,
     to_perfetto,
-    tracing,
     write_trace,
 )
 from repro.trace.cli import default_output, main
@@ -40,12 +40,17 @@ def hub_graph():
     return power_law_with_hub(500, 4, hub_count=2, hub_degree=120, seed=102)
 
 
-def traced_run(graph, solver=None, threads: int = 96) -> Tracer:
-    tracer = Tracer(threads=threads, label="test")
+def traced(label: str = "test", threads: int = 96) -> MetricsRegistry:
+    """A registry with a tracer facet."""
+    return MetricsRegistry(label, tracer=Tracer(threads=threads))
+
+
+def traced_run(graph, solver=None, threads: int = 96) -> MetricsRegistry:
+    registry = traced(threads=threads)
     solver = solver if solver is not None else ParallelKCore()
-    solver.decompose(graph, tracer=tracer)
-    tracer.finish()
-    return tracer
+    solver.decompose(graph, registry=registry)
+    registry.tracer.finish()
+    return registry
 
 
 # ----------------------------------------------------------------------
@@ -53,19 +58,20 @@ def traced_run(graph, solver=None, threads: int = 96) -> Tracer:
 # ----------------------------------------------------------------------
 class TestTracer:
     def test_absent_by_default(self):
-        assert active_tracer() is None
-        assert SimRuntime().tracer is None
+        assert active_registry() is None
+        assert SimRuntime().registry is None
 
     def test_tracing_context_installs_and_restores(self):
-        tracer = Tracer()
-        with tracing(tracer) as installed:
-            assert installed is tracer
-            assert active_tracer() is tracer
-            assert SimRuntime().tracer is tracer
-        assert active_tracer() is None
+        registry = traced()
+        with observing(registry) as installed:
+            assert installed is registry
+            assert active_registry() is registry
+            assert SimRuntime().registry is registry
+        assert active_registry() is None
+        assert registry.tracer.attempts == 1  # the facet saw the attach
 
     def test_rounds_and_subrounds_nest(self):
-        tracer = traced_run(grid_2d(16, 16))
+        tracer = traced_run(grid_2d(16, 16)).tracer
         assert tracer.attempts == 1
         assert tracer.rounds
         for rnd in tracer.rounds:
@@ -81,7 +87,7 @@ class TestTracer:
             assert parent.t0 <= sub.t0 <= sub.t1 <= parent.t1
 
     def test_clock_is_monotone_and_matches_steps(self):
-        tracer = traced_run(grid_2d(16, 16))
+        tracer = traced_run(grid_2d(16, 16)).tracer
         prev = 0.0
         for step in tracer.steps:
             assert step.t0 == prev
@@ -90,14 +96,13 @@ class TestTracer:
         assert tracer.clock == prev
 
     def test_round_k_matches_coreness_levels(self):
-        tracer = traced_run(grid_2d(16, 16))
+        tracer = traced_run(grid_2d(16, 16)).tracer
         ks = [r.k for r in tracer.rounds if r.k is not None]
         assert ks == sorted(ks)
         assert 2 in ks  # grid kmax
 
     def test_telemetry_records_vgc_and_frontier(self):
-        tracer = traced_run(grid_2d(24, 24))
-        tele = tracer.telemetry()
+        tele = traced_run(grid_2d(24, 24)).tracer.telemetry()
         peeling = [r for r in tele if r["subrounds"]]
         assert peeling
         assert any(r["absorbed"] for r in peeling)
@@ -105,19 +110,18 @@ class TestTracer:
         assert any(r["kernel_regimes"] for r in peeling)
 
     def test_sampling_telemetry_on_hub_graph(self):
-        tracer = traced_run(hub_graph())
-        tele = tracer.telemetry()
+        tele = traced_run(hub_graph()).tracer.telemetry()
         assert sum(r["sample_draws"] for r in tele) > 0
         assert sum(r["resamples"] for r in tele) > 0
 
     def test_threads_one_clock_equals_work(self):
         graph = grid_2d(12, 12)
-        tracer = traced_run(graph, threads=1)
+        tracer = traced_run(graph, threads=1).tracer
         result = ParallelKCore().decompose(graph)
         assert tracer.clock == result.metrics.work
 
     def test_finish_is_idempotent(self):
-        tracer = traced_run(grid_2d(8, 8))
+        tracer = traced_run(grid_2d(8, 8)).tracer
         spans = len(tracer.spans)
         tracer.finish()
         tracer.finish()
@@ -135,19 +139,22 @@ class TestDeterminism:
     def test_tracing_does_not_perturb_results(self):
         graph = hub_graph()
         plain = ParallelKCore().decompose(graph)
-        tracer = Tracer()
-        traced = ParallelKCore().decompose(graph, tracer=tracer)
-        assert (plain.coreness == traced.coreness).all()
-        assert plain.metrics.to_stable_dict() == traced.metrics.to_stable_dict()
+        observed = ParallelKCore().decompose(graph, registry=traced())
+        assert (plain.coreness == observed.coreness).all()
+        assert (
+            plain.metrics.to_stable_dict()
+            == observed.metrics.to_stable_dict()
+        )
 
 
 class TestGoldensWithTracing:
     """The observational guarantee, checked against the blessed files.
 
     Runs every grid-24 matrix case (all engines, plus the alternate
-    cost models) under a process-wide active tracer and requires the
-    payloads to match the committed goldens bit-exactly — tracing on
-    must equal tracing off, which the full-matrix goldens test pins.
+    cost models) under a process-wide active registry with a tracer
+    facet and requires the payloads to match the committed goldens
+    bit-exactly — tracing on must equal tracing off, which the
+    full-matrix goldens test pins.
     """
 
     @pytest.mark.parametrize(
@@ -156,10 +163,10 @@ class TestGoldensWithTracing:
     def test_traced_case_matches_blessed_golden(self, case):
         blessed = read_golden(case.engine)
         assert blessed is not None, f"no golden for {case.engine}"
-        with tracing(Tracer(label=case.case_id)) as tracer:
+        with observing(traced(case.case_id)) as registry:
             payload = run_case(case)
         assert payload == blessed[case.entry_key]
-        assert tracer.steps  # the tracer actually saw the run
+        assert registry.tracer.steps  # the tracer actually saw the run
 
 
 # ----------------------------------------------------------------------
@@ -212,11 +219,12 @@ class TestPerfettoExport:
         assert doc["displayTimeUnit"] == "ms"
 
     def test_host_spans_on_second_pid(self):
-        tracer = traced_run(grid_2d(8, 8))
-        tracer.host_span("cell", 0.25, max_rss_kb=1024)
+        registry = MetricsRegistry("test", tracer=Tracer())
+        ParallelKCore().decompose(grid_2d(8, 8), registry=registry)
+        registry.host_span("cell", 0.25, max_rss_kb=1024)
         hosts = [
             e
-            for e in to_perfetto(tracer)["traceEvents"]
+            for e in to_perfetto(registry)["traceEvents"]
             if e.get("cat") == "host"
         ]
         assert len(hosts) == 1
@@ -240,19 +248,21 @@ class TestFlamegraph:
         assert any(line.startswith("test;setup;") for line in lines)
 
     def test_counts_sum_to_simulated_clock(self):
-        tracer = traced_run(grid_2d(16, 16))
-        total = sum(collapsed_stacks(tracer).values())
+        registry = traced_run(grid_2d(16, 16))
+        tracer = registry.tracer
+        total = sum(collapsed_stacks(registry).values())
         assert total == pytest.approx(tracer.clock, abs=len(tracer.steps))
 
 
 class TestTextTimeline:
     def test_header_rounds_and_host(self):
-        tracer = traced_run(grid_2d(16, 16))
-        tracer.host_span("run", 0.125)
-        text = render_text(tracer)
+        registry = MetricsRegistry("test", tracer=Tracer())
+        ParallelKCore().decompose(grid_2d(16, 16), registry=registry)
+        registry.host_span("run", 0.125)
+        text = render_text(registry)
         assert f"schema v{TRACE_SCHEMA_VERSION}" in text
         assert "clock:" in text
-        assert text.count("round") >= len(tracer.rounds)
+        assert text.count("round") >= len(registry.tracer.rounds)
         assert "host: run wall=0.125s" in text
 
 
@@ -352,18 +362,20 @@ class TestBenchTracing:
 # ----------------------------------------------------------------------
 class TestFrameworkPlumbing:
     def test_decompose_kwarg_attaches(self):
-        tracer = Tracer()
-        decompose(grid_2d(8, 8), FrameworkConfig(), tracer=tracer)
-        assert tracer.attempts == 1
-        assert tracer.steps
+        registry = traced()
+        decompose(grid_2d(8, 8), FrameworkConfig(), registry=registry)
+        assert registry.attached == registry.tracer.attempts == 1
+        assert registry.tracer.steps
 
     def test_explicit_kwarg_wins_over_active(self):
-        explicit = Tracer(label="explicit")
-        ambient = Tracer(label="ambient")
-        with tracing(ambient):
-            decompose(grid_2d(8, 8), FrameworkConfig(), tracer=explicit)
-        assert explicit.steps
-        assert not ambient.steps
+        explicit = traced("explicit")
+        ambient = traced("ambient")
+        with observing(ambient):
+            decompose(grid_2d(8, 8), FrameworkConfig(), registry=explicit)
+        assert explicit.tracer.steps
+        assert not ambient.tracer.steps
+        assert ambient.attached == 0
+        assert explicit.value("runtime.rounds") > 0
 
     def test_baseline_engines_trace_via_active_tracer(self):
         from repro.regress.matrix import ENGINES
@@ -371,6 +383,6 @@ class TestFrameworkPlumbing:
 
         graph = grid_2d(10, 10)
         for engine in ("julienne", "bz", "park"):
-            with tracing(Tracer(label=engine)) as tracer:
+            with observing(traced(engine)) as registry:
                 ENGINES[engine](graph, DEFAULT_COST_MODEL)
-            assert tracer.steps, engine
+            assert registry.tracer.steps, engine

@@ -9,6 +9,7 @@ docstring summary.  Run from the repository root:
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import inspect
 import sys
@@ -98,7 +99,18 @@ def generate() -> str:
 
 
 def main(argv: list[str]) -> int:
-    output = argv[1] if len(argv) > 1 else "docs/API.md"
+    """Write the index; ``argv`` is ``sys.argv`` (program name first)."""
+    parser = argparse.ArgumentParser(
+        prog="python tools/gen_api_docs.py",
+        description="Generate the Markdown API index of the repro package.",
+    )
+    parser.add_argument(
+        "output",
+        nargs="?",
+        default="docs/API.md",
+        help="where to write the index (default: docs/API.md)",
+    )
+    output = parser.parse_args(argv[1:]).output
     text = generate()
     with open(output, "w", encoding="utf-8") as handle:
         handle.write(text)
