@@ -43,14 +43,21 @@ oracle-updates:
 oracle-shard:
 	PYTHONPATH=src $(PYTHON) -m repro.regress oracle --subject shard
 
-# One sharded decomposition at three worker counts; the reports must be
-# byte-identical (the worker-count invariance contract).
+# One sharded decomposition at worker counts 0 (inline, the schedule
+# hindex_coreness runs), 1 and 2; the reports must be byte-identical (the
+# worker-count invariance contract).  Then the alternative-models bench:
+# exact hindex and semi-external coreness within their round bounds.
 shard-smoke:
+	PYTHONPATH=src $(PYTHON) -m repro.shard GRID --tiny --workers 0 \
+		--output shard-smoke-w0.json
 	PYTHONPATH=src $(PYTHON) -m repro.shard GRID --tiny --workers 1 \
 		--output shard-smoke-w1.json
 	PYTHONPATH=src $(PYTHON) -m repro.shard GRID --tiny --workers 2 \
 		--output shard-smoke-w2.json
+	cmp shard-smoke-w1.json shard-smoke-w0.json
 	cmp shard-smoke-w1.json shard-smoke-w2.json
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_alternative_models.py \
+		-q -p no:cacheprovider
 
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.serve --tiny

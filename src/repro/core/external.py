@@ -13,7 +13,8 @@ of the pass, lower each estimate to the H-index of what streamed past.
 Estimates start at the degrees and converge monotonically to the exact
 coreness.  Each round is exactly one sequential pass over the edge file
 — the I/O pattern that matters in this setting — and the result reports
-the pass count.
+the pass count.  The update itself is one vectorised H-index,
+:func:`repro.core.locality.clipped_h_index`.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.locality import clipped_h_index
 from repro.graphs.csr import CSRGraph
 
 #: Number of int64 edge endpoints read per chunk (bounded RAM).
@@ -150,24 +152,18 @@ def semi_external_coreness(
             np.add.at(hist, offsets[u] + np.minimum(ev, eu), 1)
             np.add.at(hist, offsets[v] + np.minimum(eu, ev), 1)
         passes += 1
+        # Vertex blocks of at most chunk_edges histogram entries (a larger
+        # vertex goes alone) keep the update's temporaries in the budget.
         changed = False
-        for v in range(n):
-            e = int(estimate[v])
-            if e == 0:
-                continue
-            counts = hist[offsets[v] : offsets[v] + e + 1]
-            # H-index from the clipped histogram: largest h <= e with
-            # at least h neighbors of clipped estimate >= h.
-            total = 0
-            new = 0
-            for h in range(e, 0, -1):
-                total += int(counts[h])
-                if total >= h:
-                    new = h
-                    break
-            if new != e:
-                estimate[v] = new
-                changed = True
+        lo = 0
+        while lo < n:
+            hi = np.searchsorted(offsets, offsets[lo] + chunk_edges, "right")
+            hi = max(int(hi) - 1, lo + 1)
+            old = estimate[lo:hi]
+            new = clipped_h_index(hist[offsets[lo] : offsets[hi]], old)
+            changed |= not np.array_equal(new, old)
+            estimate[lo:hi] = new
+            lo = hi
         if not changed:
             break
     else:

@@ -18,6 +18,9 @@ of choice for distributed and vertex-centric systems.
 Convergence takes at most ``O(n)`` rounds in theory but typically a few
 dozen on real graphs; the returned metrics expose the round count so
 tests and benchmarks can compare it against the peeling complexity.
+
+The round iteration itself is written once, in :mod:`repro.shard.rounds`;
+this module keeps the H-index primitives and :func:`hindex_coreness`.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import numpy as np
 from repro.core.result import CorenessResult
 from repro.graphs.csr import CSRGraph
 from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
-from repro.runtime.simulator import SimRuntime
 
 
 def h_index(values: np.ndarray) -> int:
@@ -44,6 +46,34 @@ def h_index(values: np.ndarray) -> int:
     return 0
 
 
+def clipped_h_index(counts: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """``min(caps[i], h_index(values_i))`` per segment, from histograms.
+
+    ``counts`` concatenates one histogram per segment ``i``: ``caps[i] + 1``
+    entries, entry ``c`` counting the values clipped to ``c`` by
+    ``min(x, caps[i])``.  No per-segment loop: the count of values ``>= c``
+    only shrinks as ``c`` grows, so the qualifying levels are ``1..h``.
+    """
+    caps = np.asarray(caps, dtype=np.int64)
+    if caps.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    sizes = caps + 1
+    starts = np.cumsum(sizes) - sizes
+    if counts.size != starts[-1] + sizes[-1]:
+        raise ValueError(
+            f"{counts.size} histogram entries for segments of total size "
+            f"{starts[-1] + sizes[-1]}"
+        )
+    running = np.cumsum(counts)
+    # Values >= c in c's segment: the segment's running total at its
+    # end, minus the running total before c.
+    at_least = np.repeat(running[starts + caps], sizes) - running + counts
+    level = np.arange(counts.size) - np.repeat(starts, sizes)
+    qualifies = (level > 0) & (at_least >= level)
+    return np.add.reduceat(qualifies, starts, dtype=np.int64)
+
+
 def hindex_coreness(
     graph: CSRGraph,
     model: CostModel = DEFAULT_COST_MODEL,
@@ -52,58 +82,15 @@ def hindex_coreness(
     """Exact coreness via H-index iteration (Montresor-style).
 
     Each round recomputes every *active* vertex's estimate as the H-index
-    of its neighbors' current estimates; vertices whose estimate did not
-    change and whose neighbors' estimates did not change are skipped (the
-    standard "push on change" optimization).  Rounds are counted in the
-    metrics' ``rounds`` field.  The rounds themselves run on the shard
-    engine's :class:`repro.shard.rounds.RoundKernels`, so the
-    ``REPRO_KERNELS`` switch selects the compiled or the reference loop.
+    of its neighbors' current estimates, all from the previous round's
+    snapshot (Jacobi); only neighbors of vertices that changed are
+    active in the next round (the standard "push on change"
+    optimization).  This is the shard engine's inline schedule
+    (:func:`repro.shard.rounds.run_rounds`), labelled ``"hindex"``: each
+    round is one parallel scan over the active vertices, and the
+    ``REPRO_KERNELS`` switch selects the compiled or the reference round.
     """
     # Imported here: repro.shard.rounds imports h_index from this module.
-    from repro.shard.rounds import RoundKernels
+    from repro.shard.rounds import run_rounds
 
-    runtime = SimRuntime(model)
-    n = graph.n
-    estimate = graph.degrees.astype(np.int64).copy()
-    if n == 0:
-        return CorenessResult(
-            coreness=estimate, metrics=runtime.metrics,
-            algorithm="hindex", model=model,
-        )
-    runtime.parallel_for(model.scan_op, count=n, barriers=1, tag="init")
-
-    degrees = estimate.copy()
-    kernels = RoundKernels(
-        graph.indptr, graph.indices, hist_size=int(degrees.max()) + 2
-    )
-    limit = max_rounds if max_rounds is not None else 2 * n + 2
-    active = np.arange(n, dtype=np.int64)
-    for _ in range(limit):
-        if active.size == 0:
-            break
-        runtime.begin_round()
-        # Synchronous (Jacobi) update from a snapshot: all vertices read
-        # the previous round's estimates, as distributed nodes would.
-        new = kernels.hindex_round(estimate, active)
-        changed = new != estimate[active]
-        # ``cumsum`` adds sequentially in vertex order, so the round's
-        # work equals a running per-vertex total under any cost model.
-        work = np.cumsum(model.vertex_op + model.edge_op * degrees[active])
-        runtime.parallel_for(
-            np.array([max(float(work[-1]), 1.0)]),
-            barriers=1,
-            tag="hindex_round",
-        )
-        estimate[active[changed]] = new[changed]
-        active = kernels.next_active(active[changed], 0, n)
-    else:
-        raise RuntimeError(
-            "H-index iteration did not converge within the round limit"
-        )
-
-    return CorenessResult(
-        coreness=estimate,
-        metrics=runtime.metrics,
-        algorithm="hindex",
-        model=model,
-    )
+    return run_rounds(graph, model, "hindex", max_rounds=max_rounds)

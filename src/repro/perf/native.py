@@ -468,6 +468,30 @@ def _ptr(array: np.ndarray | None) -> ctypes.c_void_p | None:
 _NO_ENC = np.zeros(0, dtype=np.int64)
 
 
+def _check_array(
+    name: str, array: np.ndarray, dtype, size: int | None = None
+) -> None:
+    """Raise unless ``array`` is contiguous 1-D ``dtype`` (of ``size``)."""
+    if not (
+        array.dtype == dtype
+        and array.ndim == 1
+        and array.flags.c_contiguous
+        and (size is None or array.size == size)
+    ):
+        length = "" if size is None else f" of length {size}"
+        raise ValueError(
+            f"{name} must be a contiguous {np.dtype(dtype)} array{length}"
+        )
+
+
+def _check_ids(name: str, ids: np.ndarray, n: int) -> np.ndarray:
+    """``ids`` as contiguous int64, after checking they lie in ``[0, n)``."""
+    ids = np.ascontiguousarray(ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise IndexError(f"{name} vertex out of range [0, {n})")
+    return ids
+
+
 def run_task_loop(
     graph,
     dtilde: np.ndarray,
@@ -478,7 +502,7 @@ def run_task_loop(
     k: int,
     budget: int,
     edge_budget: int,
-    scratch=None,
+    scratch,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
            int, np.ndarray]:
     """Run every local search of a subround in the compiled kernel.
@@ -490,15 +514,13 @@ def run_task_loop(
     per-task item / edge / sampled-edge counts, and ``marks`` is the
     first-touch list of distinct decrement targets whose multiplicities
     the kernel accumulated into the scratch count buffer (the caller
-    reads and re-zeros them).  When a
-    :class:`repro.perf.kernels.KernelScratch` arena is provided the flat
-    buffers come from it (returned streams are views valid until the
-    next kernel call on the same arena).
+    reads and re-zeros them).  The flat buffers come from the run's
+    :class:`repro.perf.kernels.KernelScratch` arena: the returned
+    streams are views valid until the next kernel call on it.
     """
     lib = _load()
     if lib is None:  # pragma: no cover - callers check available() first
         raise RuntimeError("native kernel unavailable")
-    indptr, indices = graph.indptr, graph.indices
     frontier = np.ascontiguousarray(frontier, dtype=np.int64)
     n_tasks = int(frontier.size)
     # Stream capacities: every queue item is expanded at most once and the
@@ -506,82 +528,43 @@ def run_task_loop(
     # bounded by the degree sum of all vertices — indices.size.  Denied
     # crossings are bounded by one crossing per vertex per subround.
     counters = np.zeros(4, dtype=np.int64)
-    if scratch is not None:
-        # Buffer *and* pointer reuse: the run-stable arrays go through
-        # the scratch pointer cache, so the per-subround call pays two
-        # ctypes conversions (frontier, counters) instead of sixteen.
-        sp = scratch.ptr
-        enc = scratch.enc_buf() if mode is not None else _NO_ENC
-        nf = scratch.nf_buf()
-        queue = scratch.queue_buf(budget)
-        count = scratch.count_buf()
-        touched = scratch.touched_buf()
-        nv_all, ne_all, ns_all = scratch.task_bufs()
-        nv = nv_all[:n_tasks]
-        ne = ne_all[:n_tasks]
-        ns = ns_all[:n_tasks]
-        lib.vgc_peel_tasks(
-            sp(indptr),
-            sp(indices),
-            sp(dtilde),
-            sp(scratch.u8(peeled)),
-            sp(coreness),
-            sp(scratch.u8(mode)) if mode is not None else None,
-            _ptr(frontier),
-            n_tasks,
-            int(k),
-            int(budget),
-            int(edge_budget),
-            sp(queue),
-            sp(enc),
-            sp(nf),
-            sp(count),
-            sp(touched),
-            sp(nv_all),
-            sp(ne_all),
-            sp(ns_all),
-            _ptr(counters),
-        )
-    else:
-        cap = int(indices.size)
-        enc = np.empty(cap if mode is not None else 0, dtype=np.int64)
-        nf = np.empty(graph.n, dtype=np.int64)
-        queue = np.empty(max(int(budget), 1), dtype=np.int64)
-        count = np.zeros(graph.n, dtype=np.int64)
-        touched = np.empty(graph.n, dtype=np.int64)
-        nv = np.empty(n_tasks, dtype=np.int64)
-        ne = np.empty(n_tasks, dtype=np.int64)
-        ns = np.empty(n_tasks, dtype=np.int64)
-        mode_u8 = mode.view(np.uint8) if mode is not None else None
-        lib.vgc_peel_tasks(
-            _ptr(indptr),
-            _ptr(indices),
-            _ptr(dtilde),
-            _ptr(peeled.view(np.uint8)),
-            _ptr(coreness),
-            _ptr(mode_u8),
-            _ptr(frontier),
-            n_tasks,
-            int(k),
-            int(budget),
-            int(edge_budget),
-            _ptr(queue),
-            _ptr(enc),
-            _ptr(nf),
-            _ptr(count),
-            _ptr(touched),
-            _ptr(nv),
-            _ptr(ne),
-            _ptr(ns),
-            _ptr(counters),
-        )
+    # Buffer *and* pointer reuse: the run-stable arrays go through the
+    # scratch pointer cache, so the per-subround call pays two ctypes
+    # conversions (frontier, counters) instead of sixteen.
+    sp = scratch.ptr
+    enc = scratch.enc_buf() if mode is not None else _NO_ENC
+    nf = scratch.nf_buf()
+    touched = scratch.touched_buf()
+    nv_all, ne_all, ns_all = scratch.task_bufs()
+    lib.vgc_peel_tasks(
+        sp(graph.indptr),
+        sp(graph.indices),
+        sp(dtilde),
+        sp(scratch.u8(peeled)),
+        sp(coreness),
+        sp(scratch.u8(mode)) if mode is not None else None,
+        _ptr(frontier),
+        n_tasks,
+        int(k),
+        int(budget),
+        int(edge_budget),
+        sp(scratch.queue_buf(budget)),
+        sp(enc),
+        sp(nf),
+        sp(scratch.count_buf()),
+        sp(touched),
+        sp(nv_all),
+        sp(ne_all),
+        sp(ns_all),
+        _ptr(counters),
+    )
     ep, fp, ls, tp = (int(x) for x in counters)
     return (
         enc[:ep] if mode is not None else enc,
         nf[:fp].copy(),
-        nv,
-        ne,
-        ns,
+        nv_all[:n_tasks],
+        ne_all[:n_tasks],
+        ns_all[:n_tasks],
         ls,
         touched[:tp],
     )
@@ -598,7 +581,7 @@ def run_pkc_round(
     queue: np.ndarray,
     counts: np.ndarray,
     touched: np.ndarray,
-    scratch=None,
+    scratch,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Run one PKC round's chain drains in the compiled kernel.
 
@@ -615,17 +598,12 @@ def run_pkc_round(
     nv = np.empty(p, dtype=np.int64)
     ne = np.empty(p, dtype=np.int64)
     counters = np.zeros(2, dtype=np.int64)
-    if scratch is not None:
-        sp = scratch.ptr
-        peeled_p = sp(scratch.u8(peeled))
-    else:
-        sp = _ptr
-        peeled_p = _ptr(peeled.view(np.uint8))
+    sp = scratch.ptr
     lib.pkc_chain_drain(
         sp(graph.indptr),
         sp(graph.indices),
         sp(dtilde),
-        peeled_p,
+        sp(scratch.u8(peeled)),
         sp(coreness),
         _ptr(frontier),
         int(frontier.size),
@@ -648,7 +626,7 @@ def run_scan_peel(
     frontier: np.ndarray,
     counts: np.ndarray,
     touched: np.ndarray,
-    scratch=None,
+    scratch,
 ) -> np.ndarray:
     """Fused gather + count + decrement-apply in the compiled kernel.
 
@@ -662,7 +640,7 @@ def run_scan_peel(
         raise RuntimeError("native kernel unavailable")
     frontier = np.ascontiguousarray(frontier, dtype=np.int64)
     counters = np.zeros(1, dtype=np.int64)
-    sp = scratch.ptr if scratch is not None else _ptr
+    sp = scratch.ptr
     lib.scan_peel(
         sp(graph.indptr),
         sp(graph.indices),
@@ -681,27 +659,20 @@ def run_scan_frontier(
     peeled: np.ndarray,
     k: int,
     out: np.ndarray,
-    scratch=None,
+    scratch,
 ) -> np.ndarray:
     """Pack the unpeeled vertices with ``dtilde <= k`` (ascending)."""
     lib = _load()
     if lib is None:  # pragma: no cover - callers check available() first
         raise RuntimeError("native kernel unavailable")
     counters = np.zeros(1, dtype=np.int64)
-    if scratch is not None:
-        dtilde_p = scratch.ptr(dtilde)
-        peeled_p = scratch.ptr(scratch.u8(peeled))
-        out_p = scratch.ptr(out)
-    else:
-        dtilde_p = _ptr(dtilde)
-        peeled_p = _ptr(peeled.view(np.uint8))
-        out_p = _ptr(out)
+    sp = scratch.ptr
     lib.scan_frontier(
-        dtilde_p,
-        peeled_p,
+        sp(dtilde),
+        sp(scratch.u8(peeled)),
         int(dtilde.size),
         int(k),
-        out_p,
+        sp(out),
         _ptr(counters),
     )
     return out[: int(counters[0])].copy()
@@ -727,22 +698,10 @@ def run_recount(
     if lib is None:  # pragma: no cover - callers check available() first
         raise RuntimeError("native kernel unavailable")
     n = int(graph.n)
-    for name, array, dtype in (
-        ("peeled", peeled, np.bool_),
-        ("coreness", coreness, np.int64),
-    ):
-        if array is not None and not (
-            array.dtype == dtype
-            and array.shape == (n,)
-            and array.flags.c_contiguous
-        ):
-            raise ValueError(
-                f"{name} must be a contiguous {np.dtype(dtype)} array "
-                f"of length {n}"
-            )
-    vertices = np.ascontiguousarray(vertices, dtype=np.int64)
-    if vertices.size and (vertices.min() < 0 or vertices.max() >= n):
-        raise IndexError(f"recount vertex out of range [0, {n})")
+    _check_array("peeled", peeled, np.bool_, n)
+    if coreness is not None:
+        _check_array("coreness", coreness, np.int64, n)
+    vertices = _check_ids("recount", vertices, n)
     out = np.empty(vertices.size, dtype=np.int64)
     lib.recount_alive(
         _ptr(graph.indptr),
@@ -768,14 +727,27 @@ def run_hindex_round(
     """One Jacobi H-index round over ``active`` in the compiled kernel.
 
     Reads ``est`` as a snapshot and writes the new estimate of
-    ``active[i]`` to ``out[i]``; ``hist`` is an all-zero scratch of
-    capacity ``max(est) + 2`` that the kernel leaves all-zero.  All
-    arrays are contiguous int64 (mmap-backed views included).
+    ``active[i]`` to ``out[i]``; ``hist`` is an all-zero scratch that
+    the kernel leaves all-zero.  The C loop indexes ``est`` by
+    ``active`` and ``hist`` by estimates up to ``max(est[active])``, so
+    the ids, the layouts (contiguous int64, mmap-backed views included)
+    and the capacities are checked here first, in ``O(|active|)``.
     """
     lib = _load()
     if lib is None:  # pragma: no cover - callers check available() first
         raise RuntimeError("native kernel unavailable")
-    active = np.ascontiguousarray(active, dtype=np.int64)
+    n = int(indptr.size) - 1
+    active = _check_ids("active", active, n)
+    _check_array("est", est, np.int64, n)
+    _check_array("out", out, np.int64)
+    _check_array("hist", hist, np.int64)
+    if out.size < active.size:
+        raise ValueError(f"out holds {out.size} < {active.size} estimates")
+    if active.size and hist.size <= est[active].max():
+        raise ValueError(
+            f"hist of size {hist.size} cannot count estimate "
+            f"{est[active].max()}"
+        )
     lib.hindex_round(
         _ptr(indptr),
         _ptr(indices),
@@ -794,11 +766,18 @@ def run_mark_dirty(
     changed: np.ndarray,
     dirty: np.ndarray,
 ) -> None:
-    """Mark every neighbor of ``changed`` in the uint8 ``dirty`` mask."""
+    """Mark every neighbor of ``changed`` in the uint8 ``dirty`` mask.
+
+    The ids and the mask's layout are checked first, in
+    ``O(|changed|)``: C reads the rows of ``changed`` and writes
+    ``dirty`` at every neighbor.
+    """
     lib = _load()
     if lib is None:  # pragma: no cover - callers check available() first
         raise RuntimeError("native kernel unavailable")
-    changed = np.ascontiguousarray(changed, dtype=np.int64)
+    n = int(indptr.size) - 1
+    changed = _check_ids("changed", changed, n)
+    _check_array("dirty", dirty, np.uint8, n)
     lib.mark_dirty(
         _ptr(indptr),
         _ptr(indices),

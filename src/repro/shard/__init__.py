@@ -5,9 +5,10 @@ ranges (:mod:`repro.shard.partition`), runs frontier-synchronous Jacobi
 H-index rounds per shard in a persistent pool of worker processes that
 memory-map the same cached ``.npz`` (:mod:`repro.shard.pool`), and
 merges the per-round ``(vertex, new_estimate)`` deltas canonically in
-the coordinator (:mod:`repro.shard.engine`).  The result — coreness,
-simulated ledger, round trajectory — is bit-identical for every worker
-count and kernel mode; ``python -m repro.regress oracle --subject shard``
+the coordinator (:mod:`repro.shard.engine`), all through the one round
+loop of :mod:`repro.shard.rounds`.  The result — coreness, simulated
+ledger, round trajectory — is bit-identical for every worker count and
+kernel mode; ``python -m repro.regress oracle --subject shard``
 sweeps exactly that, and ``python -m repro.shard`` emits a worker-count
 invariant report for CI's byte-identity check.
 
@@ -20,7 +21,7 @@ import importlib
 
 #: Each export and the submodule defining it.  Resolved on first access,
 #: so importing one submodule (``core.locality`` runs its H-index rounds
-#: on ``shard.rounds``) loads neither the engine nor what it imports.
+#: through ``shard.rounds``) loads neither the engine nor what it imports.
 _EXPORTS = {
     "RoundKernels": "repro.shard.rounds",
     "ShardPlan": "repro.shard.partition",

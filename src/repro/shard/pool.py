@@ -87,20 +87,15 @@ def _worker_main(conn, graph_path: str, lo: int, hi: int, mode: str) -> None:
     """
     try:
         graph = load_npz(graph_path, mmap=True, strict=True)
-        indptr, indices = graph.indptr, graph.indices
-        est = np.ascontiguousarray(np.diff(indptr), dtype=np.int64)
         kernels = RoundKernels(
-            indptr, indices,
-            hist_size=int(est.max(initial=0)) + 2, mode=mode,
+            graph.indptr, graph.indices, lo=lo, hi=hi, mode=mode
         )
-        mask = _read_mask(indptr, indices, lo, hi)
-        active = np.arange(lo, hi, dtype=np.int64)
+        mask = _read_mask(graph.indptr, graph.indices, lo, hi)
         conn.send(("ready", np.packbits(mask)))
     except BaseException:
         conn.send(("error", traceback.format_exc()))
         conn.close()
         return
-    prev_ids: np.ndarray | None = None  # None = first round, full range
     while True:
         try:
             message = conn.recv()
@@ -108,9 +103,7 @@ def _worker_main(conn, graph_path: str, lo: int, hi: int, mode: str) -> None:
             return
         if message[0] == "reset":
             # Start a fresh decomposition on the same mapped graph.
-            est[:] = np.diff(indptr)
-            prev_ids = None
-            active = np.arange(lo, hi, dtype=np.int64)
+            kernels.reset()
             continue
         if message[0] != "round":
             conn.close()
@@ -118,20 +111,7 @@ def _worker_main(conn, graph_path: str, lo: int, hi: int, mode: str) -> None:
         try:
             _, ext_ids, ext_vals = message
             with measure() as wall:
-                if ext_ids.size:
-                    est[ext_ids] = ext_vals
-                if prev_ids is not None:
-                    # The previous round's global deltas (own + received
-                    # boundary slice) determine this round's active set.
-                    active = kernels.next_active(
-                        np.concatenate((prev_ids, ext_ids)), lo, hi
-                    )
-                out = kernels.hindex_round(est, active)
-                changed = out != est[active]
-                ids = active[changed]
-                vals = out[changed]
-                est[ids] = vals
-                prev_ids = ids
+                ids, vals, active = kernels.step(ext_ids, ext_vals)
             conn.send(("ok", ids, vals, active, wall.wall_s))
         except BaseException:
             conn.send(("error", traceback.format_exc()))
@@ -144,8 +124,10 @@ class ShardPool:
 
     Spawning, the ready handshake and the read-mask exchange happen in
     ``__init__`` — outside any timed region, like the bench runner's
-    pool.  The pool is reusable across runs on the same graph: each
-    :meth:`run` drives one full decomposition to its fixed point.
+    pool.  Each worker steps its own range with
+    :meth:`repro.shard.rounds.RoundKernels.step`, one :meth:`round` at a
+    time.  The pool is reusable across runs on the same graph:
+    :meth:`reset` rewinds it for the next decomposition.
     """
 
     def __init__(

@@ -4,11 +4,12 @@ The baselines' hot loops run through the shared kernels: PKC's
 per-round chain drain is one compiled call (``pkc_chain_drain_native``),
 ParK's and Julienne's scan-frontier rounds go through
 ``threshold_frontier`` / ``scan_peel_round``, and ``hindex_coreness``
-runs its rounds on the shard engine's ``RoundKernels``.  The
+is the shard engine's inline schedule on ``RoundKernels``.  The
 ``REPRO_KERNELS`` switch must therefore be unobservable for them exactly
 as it is for our framework: identical coreness arrays and an identical
 stable metrics ledger (work, span, contention, subrounds) on every graph
-family under both modes.
+family under both modes.  ``hindex_coreness`` and
+``shard_coreness(workers=0)`` must also agree with each other.
 
 Mirrors ``test_perf_kernels.py``: full decompositions across generator
 families x seeds, the native tier compared field-for-field against the
@@ -33,6 +34,7 @@ from repro.generators import (
 )
 from repro.perf import KERNELS_ENV, NATIVE, REFERENCE, native_available
 from repro.runtime.cost_model import DEFAULT_COST_MODEL
+from repro.shard import shard_coreness
 
 #: One randomized builder per generator family (seeded — the *pair* of
 #: runs must see the identical graph, not two draws of it).
@@ -53,6 +55,9 @@ ENGINES = {
     "park": park_kcore,
     "julienne": julienne_kcore,
     "hindex": hindex_coreness,
+    "shard-inline": lambda graph, model: shard_coreness(
+        graph, model, workers=0
+    ),
 }
 
 #: The fast tier, compared against REFERENCE where a compiler can build it.
@@ -80,6 +85,19 @@ def test_baseline_modes_bit_exact(monkeypatch, family, engine, mode):
         )
         assert np.array_equal(core_f, core_r), (engine, family, seed)
         assert metrics_f == metrics_r, (engine, family, seed)
+
+
+@pytest.mark.parametrize("mode", [REFERENCE, *FAST_MODES])
+@pytest.mark.parametrize("family", sorted(GRAPHS))
+def test_hindex_is_the_inline_shard_schedule(monkeypatch, family, mode):
+    """Same coreness and the same stable ledger, round for round."""
+    for seed in (3, 104):
+        core_h, metrics_h = _run(monkeypatch, mode, "hindex", family, seed)
+        core_s, metrics_s = _run(
+            monkeypatch, mode, "shard-inline", family, seed
+        )
+        assert np.array_equal(core_h, core_s), (family, seed)
+        assert metrics_h == metrics_s, (family, seed)
 
 
 @pytest.mark.skipif(not native_available(), reason="no C compiler")

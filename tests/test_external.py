@@ -83,13 +83,19 @@ class TestStreamingWriter:
 
 
 class TestStreaming:
-    def test_small_chunks_agree(self, tmp_path):
-        """Chunk size must not change the answer (pure streaming)."""
+    @pytest.mark.parametrize("chunk_edges", [1, 7, 64])
+    def test_small_chunks_agree(self, tmp_path, chunk_edges):
+        """Chunk size must not change the answer (pure streaming).
+
+        It also sizes the update's vertex blocks, so small chunks put a
+        block boundary after nearly every vertex.
+        """
         g = erdos_renyi(200, 6.0, seed=3)
         big = run_semi_external(g, tmp_path, chunk_edges=1 << 16)
-        small = run_semi_external(g, tmp_path, chunk_edges=7)
+        small = run_semi_external(g, tmp_path, chunk_edges=chunk_edges)
         assert np.array_equal(big.coreness, small.coreness)
         assert big.passes == small.passes
+        assert big.peak_memory_values == small.peak_memory_values
 
     def test_pass_limit_raises(self, tmp_path):
         from repro.generators import path_graph

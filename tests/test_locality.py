@@ -7,8 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.core.locality import h_index, hindex_coreness
+from repro.core.locality import clipped_h_index, h_index, hindex_coreness
 from repro.core.verify import reference_coreness
 from repro.generators import (
     complete_graph,
@@ -18,6 +20,22 @@ from repro.generators import (
     hcns,
     path_graph,
     star_graph,
+)
+from repro.regress.matrix import GRAPH_BUILDERS
+from repro.shard import shard_coreness
+
+#: One segment: its cap and its values (empty, tied or spread).
+SEGMENTS = st.lists(
+    st.tuples(
+        st.integers(0, 12),
+        st.one_of(
+            st.lists(st.integers(0, 15), max_size=20),
+            st.integers(0, 15).flatmap(
+                lambda v: st.lists(st.just(v), min_size=1, max_size=20)
+            ),
+        ),
+    ),
+    max_size=12,
 )
 
 
@@ -36,6 +54,34 @@ class TestHIndex:
     def test_single(self):
         assert h_index(np.array([5])) == 1
         assert h_index(np.array([0])) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(SEGMENTS)
+    @example([])
+    @example([(0, []), (0, [3, 1]), (5, [])])  # e = 0, all-zero counts
+    @example([(4, [9]), (1, [1]), (3, [0])])  # single entries
+    @example([(12, [6] * 20), (3, [3, 3, 3]), (7, [2] * 9)])  # heavy ties
+    def test_clipped_histograms_match_h_index(self, segments):
+        caps = np.array([cap for cap, _ in segments], dtype=np.int64)
+        hists = [
+            np.bincount(
+                np.minimum(np.array(values, dtype=np.int64), cap),
+                minlength=cap + 1,
+            )
+            for cap, values in segments
+        ]
+        counts = np.concatenate([np.zeros(0, np.int64), *hists])
+        expected = [
+            min(cap, h_index(np.array(values, dtype=np.int64)))
+            for cap, values in segments
+        ]
+        got = clipped_h_index(counts, caps)
+        assert got.dtype == np.int64
+        assert got.tolist() == expected
+
+    def test_clipped_rejects_mismatched_segments(self):
+        with pytest.raises(ValueError):
+            clipped_h_index(np.zeros(4, dtype=np.int64), np.array([1, 0]))
 
     def test_bounded_by_size_and_max(self):
         rng = np.random.default_rng(1)
@@ -75,6 +121,30 @@ class TestHIndexCoreness:
     def test_round_limit_raises(self):
         with pytest.raises(RuntimeError):
             hindex_coreness(path_graph(100), max_rounds=2)
+
+    @pytest.mark.parametrize(
+        "solver",
+        [
+            hindex_coreness,
+            lambda g, max_rounds=None: shard_coreness(
+                g, workers=0, max_rounds=max_rounds
+            ),
+        ],
+        ids=["hindex", "shard-inline"],
+    )
+    @pytest.mark.parametrize("name", ["er-300", "grid-24", "path-60"])
+    def test_round_limit_is_inclusive(self, solver, name):
+        """``max_rounds`` equal to the rounds needed is enough."""
+        g = (
+            path_graph(60) if name == "path-60" else GRAPH_BUILDERS[name]()
+        )
+        free = solver(g)
+        rounds = free.metrics.rounds
+        capped = solver(g, max_rounds=rounds)
+        assert np.array_equal(capped.coreness, free.coreness)
+        assert capped.metrics.rounds == rounds
+        with pytest.raises(RuntimeError):
+            solver(g, max_rounds=rounds - 1)
 
     def test_empty(self):
         result = hindex_coreness(empty_graph(4))

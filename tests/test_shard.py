@@ -107,13 +107,11 @@ class TestRoundKernels:
 
     def test_first_round_matches_reference_in_every_mode(self):
         for g in small_graphs():
-            est = np.asarray(g.degrees, dtype=np.int64)
             active = np.arange(g.n, dtype=np.int64)
-            hist_size = int(est.max(initial=0)) + 2
             outs = {
                 mode: RoundKernels(
-                    g.indptr, g.indices, hist_size, mode=mode
-                ).hindex_round(est, active)
+                    g.indptr, g.indices, mode=mode
+                ).hindex_round(active)
                 for mode in self.modes()
             }
             base = outs.pop(REFERENCE)
@@ -127,21 +125,91 @@ class TestRoundKernels:
             np.concatenate([g.neighbors(int(v)) for v in changed])
         )
         for mode in self.modes():
-            kernels = RoundKernels(g.indptr, g.indices, 64, mode=mode)
-            got = kernels.next_active(changed, 0, g.n)
+            kernels = RoundKernels(g.indptr, g.indices, mode=mode)
+            got = kernels.next_active(changed)
             assert np.array_equal(got, expected), mode
             lo, hi = 50, 150
-            window = kernels.next_active(changed, lo, hi)
+            window = RoundKernels(
+                g.indptr, g.indices, lo=lo, hi=hi, mode=mode
+            ).next_active(changed)
             assert np.array_equal(
                 window, expected[(expected >= lo) & (expected < hi)]
             ), mode
 
     def test_empty_active_set(self):
         g = grid_2d(4, 4)
-        kernels = RoundKernels(g.indptr, g.indices, 8)
-        est = np.asarray(g.degrees, dtype=np.int64)
-        assert kernels.hindex_round(est, np.zeros(0, np.int64)).size == 0
-        assert kernels.next_active(np.zeros(0, np.int64), 0, g.n).size == 0
+        kernels = RoundKernels(g.indptr, g.indices)
+        assert kernels.hindex_round(np.zeros(0, np.int64)).size == 0
+        assert kernels.next_active(np.zeros(0, np.int64)).size == 0
+
+
+#: One rejected input each: (argument, bad value from (graph, est), error).
+BAD_HINDEX_ROUND = {
+    "active-above-n": ("active", lambda g, est: np.array([g.n]), IndexError),
+    "active-negative": ("active", lambda g, est: np.array([-1]), IndexError),
+    "est-int32": ("est", lambda g, est: est.astype(np.int32), ValueError),
+    "est-short": ("est", lambda g, est: est[:-1].copy(), ValueError),
+    "est-strided": (
+        "est", lambda g, est: np.repeat(est, 2)[::2], ValueError
+    ),
+    "out-too-small": (
+        "out", lambda g, est: np.empty(g.n - 1, np.int64), ValueError
+    ),
+    "hist-too-small": (
+        "hist", lambda g, est: np.zeros(int(est.max()), np.int64), ValueError
+    ),
+}
+
+BAD_MARK_DIRTY = {
+    "changed-above-n": (
+        "changed", lambda g: np.array([g.n]), IndexError
+    ),
+    "changed-negative": ("changed", lambda g: np.array([-1]), IndexError),
+    "dirty-bool": ("dirty", lambda g: np.zeros(g.n, bool), ValueError),
+    "dirty-short": (
+        "dirty", lambda g: np.zeros(g.n - 1, np.uint8), ValueError
+    ),
+    "dirty-strided": (
+        "dirty", lambda g: np.zeros(2 * g.n, np.uint8)[::2], ValueError
+    ),
+}
+
+
+@pytest.mark.skipif(not native_available(), reason="no C compiler")
+@pytest.mark.parametrize("case", sorted(BAD_HINDEX_ROUND))
+def test_hindex_round_rejects_bad_input(case):
+    from repro.perf.native import run_hindex_round
+
+    g = erdos_renyi(60, 4.0, seed=7)
+    est = np.asarray(g.degrees, dtype=np.int64)
+    args = {
+        "est": est,
+        "active": np.arange(g.n, dtype=np.int64),
+        "out": np.empty(g.n, dtype=np.int64),
+        "hist": np.zeros(int(est.max()) + 2, dtype=np.int64),
+    }
+    run_hindex_round(g.indptr, g.indices, **args)  # well-formed: accepted
+    name, bad, error = BAD_HINDEX_ROUND[case]
+    args[name] = bad(g, est)
+    with pytest.raises(error, match=name):
+        run_hindex_round(g.indptr, g.indices, **args)
+
+
+@pytest.mark.skipif(not native_available(), reason="no C compiler")
+@pytest.mark.parametrize("case", sorted(BAD_MARK_DIRTY))
+def test_mark_dirty_rejects_bad_input(case):
+    from repro.perf.native import run_mark_dirty
+
+    g = erdos_renyi(60, 4.0, seed=7)
+    args = {
+        "changed": np.array([0, 5], dtype=np.int64),
+        "dirty": np.zeros(g.n, dtype=np.uint8),
+    }
+    run_mark_dirty(g.indptr, g.indices, **args)  # well-formed: accepted
+    name, bad, error = BAD_MARK_DIRTY[case]
+    args[name] = bad(g)
+    with pytest.raises(error, match=name):
+        run_mark_dirty(g.indptr, g.indices, **args)
 
 
 # ----------------------------------------------------------------------
