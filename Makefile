@@ -61,6 +61,14 @@ shard-smoke:
 
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.serve --tiny
+	for mode in native reference; do \
+		REPRO_KERNELS=$$mode PYTHONPATH=src $(PYTHON) -m repro.serve \
+			--tiny --graph GRID --trace serve-$$mode.trace.json \
+			--output serve-$$mode.json || exit 1; \
+	done
+	cmp serve-native.json serve-reference.json
+	$(PYTHON) tools/compare_traces.py serve-native.trace.json \
+		serve-reference.trace.json
 
 obs-smoke: trace
 	PYTHONPATH=src $(PYTHON) -m repro.serve --tiny --graph GRID \

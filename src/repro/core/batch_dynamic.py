@@ -31,12 +31,17 @@ inside the batch.  The ``updates`` subject of the differential harness
 (:mod:`repro.regress.harness`) enforces bit-equality against a full
 recompute after every batch.
 
-``REPRO_KERNELS`` selects the neighbor-expansion kernel:
-``reference`` runs the original per-edge Python gather loop, ``native``
-the flat NumPy gather (:func:`neighbor_stream_vectorized`).  No C twin
-exists for these rounds, so the flat NumPy path is their fast tier.
-Both modes are bit-exact — same coreness, same simulated-runtime
-ledger.
+``REPRO_KERNELS`` selects the kernels, once per batch.  Under
+``native`` each insertion level — subcore BFS, ``cd`` init and peel —
+is one C call (:func:`repro.perf.kernels.insertion_level_native`) whose
+steps enter the ledger as one block
+(:meth:`repro.runtime.simulator.SimRuntime.charge_block`), and the
+deletion cascade gathers with the flat NumPy kernel
+(:func:`neighbor_stream_vectorized`).  Under ``reference`` every round
+runs the NumPy code below over the per-edge Python gather loop
+(:func:`neighbor_stream_reference`): the oracle.  Both modes are
+bit-exact — same coreness, same simulated-runtime ledger, same registry
+counters and trace events.
 
 Work is charged to the simulated runtime through the sanctioned APIs
 (``parallel_for`` / ``parallel_update`` with contention counts from the
@@ -53,7 +58,8 @@ import numpy as np
 from repro.core.verify import reference_coreness
 from repro.graphs.csr import CSRGraph
 from repro.obs.registry import SIZE_BOUNDARIES
-from repro.perf import REFERENCE, kernel_mode
+from repro.perf import NATIVE, REFERENCE, kernel_mode
+from repro.perf.kernels import LevelScratch, insertion_level_native
 from repro.primitives.bitops import sorted_member_mask, sorted_unique
 from repro.runtime.atomics import batch_decrement
 from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
@@ -181,6 +187,7 @@ class BatchDynamicKCore:
         self.batches = 0
         #: Candidate vertices examined by repair rounds (work telemetry).
         self.touched_vertices = 0
+        self._scratch: LevelScratch | None = None
 
     # ------------------------------------------------------------------
     # Queries (always the last committed epoch)
@@ -241,7 +248,8 @@ class BatchDynamicKCore:
         runtime = self.runtime
         runtime.begin_round()
         rounds_before = runtime.metrics.subrounds
-        stream = resolve_stream_kernel()
+        regime = kernel_mode()
+        stream = resolve_stream_kernel(regime)
 
         lowered = before = _EMPTY
         raised = _EMPTY
@@ -265,7 +273,9 @@ class BatchDynamicKCore:
             if eff.size:
                 self._add_arcs(eff)
                 seeds = self._endpoints(eff)
-                raised = self._insertion_fixpoint(seeds, stream)
+                raised = self._insertion_fixpoint(
+                    seeds, stream, regime == NATIVE
+                )
 
         # A lowered vertex changed iff it did not end where it began; one
         # raised only by the insertions always did.
@@ -481,7 +491,7 @@ class BatchDynamicKCore:
     # Insertion fixpoint (labels are lower bounds; peel subcores upward)
     # ------------------------------------------------------------------
     def _insertion_fixpoint(
-        self, seeds: np.ndarray, stream
+        self, seeds: np.ndarray, stream, native: bool
     ) -> np.ndarray:
         """Exact repair after insertions; returns the raised vertices.
 
@@ -490,7 +500,8 @@ class BatchDynamicKCore:
         neighbors at its level or above), so every one-level rise the
         peel grants is permanently correct.  Rounds iterate level groups
         in ascending order; risers seed the next round; the fixed point
-        is the exact coreness.
+        is the exact coreness.  ``native`` runs each level in C, else
+        over ``stream``.
         """
         raised: list[np.ndarray] = []
         while seeds.size:
@@ -500,11 +511,10 @@ class BatchDynamicKCore:
                 roots = seeds[self.coreness[seeds] == r]
                 if roots.size == 0:
                     continue
-                cand = self._subcore(roots, int(r), stream)
-                if cand.size == 0:
-                    continue
-                self.touched_vertices += int(cand.size)
-                risers = self._peel_level(cand, int(r), stream)
+                if native:
+                    risers = self._native_level(roots, int(r))
+                else:
+                    risers = self._reference_level(roots, int(r), stream)
                 if risers.size:
                     risers_round.append(risers)
             if not risers_round:
@@ -514,6 +524,33 @@ class BatchDynamicKCore:
         if not raised:
             return _EMPTY
         return sorted_unique(np.concatenate(raised))
+
+    def _native_level(self, roots: np.ndarray, r: int) -> np.ndarray:
+        """One level in C, charged as one block; returns the risers."""
+        if self._scratch is None:
+            self._scratch = LevelScratch(self.n)
+        runtime = self.runtime
+        survivors, candidates, block, tags = insertion_level_native(
+            self._graph, self.coreness, roots, r, self._scratch,
+            runtime.model,
+        )
+        if block is None:
+            return _EMPTY
+        self.touched_vertices += candidates
+        # Disjoint per-vertex label writes (distinct candidates).
+        self.coreness[survivors] = r + 1
+        runtime.charge_block(block, tags=tags)
+        return survivors
+
+    def _reference_level(
+        self, roots: np.ndarray, r: int, stream
+    ) -> np.ndarray:
+        """One level in NumPy over ``stream``; returns the risers."""
+        cand = self._subcore(roots, r, stream)
+        if cand.size == 0:
+            return _EMPTY
+        self.touched_vertices += int(cand.size)
+        return self._peel_level(cand, r, stream)
 
     def _subcore(
         self, roots: np.ndarray, r: int, stream

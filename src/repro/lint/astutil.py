@@ -68,12 +68,19 @@ CHARGE_METHODS = frozenset(
         "sequential",
         "barrier_only",
         "imbalanced_step",
+        "charge_block",
     }
 )
 
 #: Charge methods that take a cost expression as their first argument.
 COSTED_CHARGE_METHODS = frozenset(
-    {"parallel_for", "parallel_update", "sequential", "imbalanced_step"}
+    {
+        "parallel_for",
+        "parallel_update",
+        "sequential",
+        "imbalanced_step",
+        "charge_block",
+    }
 )
 
 #: First-argument name of the cost expression per charge method.
@@ -82,7 +89,12 @@ COST_KEYWORDS = {
     "parallel_update": "task_costs",
     "sequential": "work",
     "imbalanced_step": "thread_works",
+    "charge_block": "block",
 }
+
+#: Keyword naming a charge's profiler phase(s): ``tag=`` by default;
+#: a block of steps takes one tag per step.
+TAG_KEYWORDS = {"charge_block": "tags"}
 
 
 def dotted_name(node: ast.AST) -> str | None:

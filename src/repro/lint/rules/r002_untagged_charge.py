@@ -8,9 +8,11 @@ the numbers stop adding up and nobody can say why.
 
 R002 requires each ``parallel_for`` / ``parallel_update`` /
 ``sequential`` / ``barrier_only`` / ``imbalanced_step`` call to pass
-``tag=`` **as a keyword** whose value is not an empty string literal.
-Positional string tags are flagged too: the keyword form is what keeps
-call sites greppable when a phase shows up hot in a profile.
+``tag=`` **as a keyword** whose value is not an empty string literal,
+and each ``charge_block`` call to pass its per-step ``tags=`` the same
+way (not an empty literal list or tuple).  Positional string tags are
+flagged too: the keyword form is what keeps call sites greppable when a
+phase shows up hot in a profile.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ def check(ctx: ModuleContext) -> Iterator[Finding]:
         method = astutil.charge_method_of(node)
         if method is None:
             continue
-        tag = astutil.keyword_value(node, "tag")
+        keyword = astutil.TAG_KEYWORDS.get(method, "tag")
+        tag = astutil.keyword_value(node, keyword)
         if tag is None:
             positional = [
                 arg
@@ -49,22 +52,30 @@ def check(ctx: ModuleContext) -> Iterator[Finding]:
                     node,
                     "R002",
                     f"{method}() passes its tag positionally; write "
-                    "tag=... explicitly so profiler phases stay greppable",
+                    f"{keyword}=... explicitly so profiler phases stay "
+                    "greppable",
                 )
             else:
                 yield ctx.finding(
                     node,
                     "R002",
-                    f"{method}() has no tag=; untagged charges are "
+                    f"{method}() has no {keyword}=; untagged charges are "
                     "unattributable in profiler and metrics breakdowns",
                 )
             continue
-        if isinstance(tag, ast.Constant) and (
+        if isinstance(tag, (ast.List, ast.Tuple)) and not tag.elts:
+            yield ctx.finding(
+                node,
+                "R002",
+                f"{method}() has an empty {keyword}=; every step needs "
+                "its phase name",
+            )
+        elif isinstance(tag, ast.Constant) and (
             not isinstance(tag.value, str) or not tag.value.strip()
         ):
             yield ctx.finding(
                 node,
                 "R002",
-                f"{method}() has an empty or non-string tag=; give the "
-                "phase a descriptive name",
+                f"{method}() has an empty or non-string {keyword}=; give "
+                "the phase a descriptive name",
             )

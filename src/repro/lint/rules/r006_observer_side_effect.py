@@ -60,6 +60,7 @@ OBSERVER_HOOKS = frozenset(
         "attach",
         "attach_model",
         "on_step",
+        "on_block",
         "on_round",
         "on_subround",
         "instant",
@@ -77,6 +78,7 @@ OBSERVER_HOOKS = frozenset(
 CHARGING_METHODS = astutil.CHARGE_METHODS | {
     "record_parallel",
     "record_sequential",
+    "record_block",
 }
 
 

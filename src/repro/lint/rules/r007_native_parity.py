@@ -2,7 +2,8 @@
 
 :mod:`repro.perf.native` embeds C transcriptions of the hot peel loops
 (the VGC task loop, the PKC chain drain, the fused scan/peel, the
-frontier scan, the sampling recount, the H-index round) and drives them
+frontier scan, the sampling recount, the H-index round, the
+batch-dynamic insertion level) and drives them
 through ``ctypes``; :mod:`repro.perf.kernels` prices the per-task
 counters they return with dyadic closed forms (``vertex_op * nv +
 edge_op * ne + ...``).  Nothing executes across that boundary at lint
@@ -29,17 +30,19 @@ embedded source:
   + 1), the ``np.zeros(N)`` allocation, and the Python tuple unpack in
   the calling function must all agree on the counter width;
 * every key of a cost-counter table (:data:`COST_COUNTERS`,
-  :data:`PKC_COST_COUNTERS`) must have a ``<key>_out`` output parameter
-  in its kernel's C signature, and every value — a field name or a list
-  of field names — must name real ``CostModel`` fields whose defaults
-  are **dyadic rationals** (exactly representable in binary floating
-  point, the exactness argument of docs/PERFORMANCE.md);
+  :data:`PKC_COST_COUNTERS`, :data:`LEVEL_COST_COUNTERS`) must have a
+  ``<key>_out`` output parameter in its kernel's C signature, and every
+  value — a field name or a list of field names — must name real
+  ``CostModel`` fields whose defaults are **dyadic rationals** (exactly
+  representable in binary floating point, the exactness argument of
+  docs/PERFORMANCE.md);
 
 in ``repro/perf/kernels.py``:
 
 * each table's ``task_costs`` closed form (``vgc_peel_tasks_native``,
-  ``pkc_thread_works``) must multiply exactly the ``model.<field> *
-  <counter>`` pairs the table declares — no more, no fewer, no renames.
+  ``pkc_thread_works``, ``insertion_level_native``) must multiply
+  exactly the ``model.<field> * <counter>`` pairs the table declares —
+  no more, no fewer, no renames.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from repro.lint.registry import rule
 _COST_TABLES = {
     "COST_COUNTERS": ("vgc_peel_tasks", "vgc_peel_tasks_native"),
     "PKC_COST_COUNTERS": ("pkc_chain_drain", "pkc_thread_works"),
+    "LEVEL_COST_COUNTERS": ("insertion_level", "insertion_level_native"),
 }
 
 

@@ -7,8 +7,9 @@ dispatches, serve commits, staleness histograms.  Given a span tracer
 (``MetricsRegistry(label, tracer=Tracer(threads))``, see
 :mod:`repro.trace`), the same hooks also build the *timeline*: every
 runtime-facing hook (:meth:`~MetricsRegistry.on_step`,
-:meth:`~MetricsRegistry.on_round`, :meth:`~MetricsRegistry.on_subround`,
-:meth:`~MetricsRegistry.instant`, :meth:`~MetricsRegistry.host_span`)
+:meth:`~MetricsRegistry.on_block`, :meth:`~MetricsRegistry.on_round`,
+:meth:`~MetricsRegistry.on_subround`, :meth:`~MetricsRegistry.instant`,
+:meth:`~MetricsRegistry.host_span`)
 updates the registry's counters first, then forwards to the tracer.
 
 Observation is strictly side-effect-free (lint rule R006):
@@ -252,6 +253,39 @@ class MetricsRegistry:
             self.tracer.on_step(
                 kind, work, span, barriers, tag, atomics, max_contention
             )
+
+    def on_block(self, block, tags: list[str]) -> None:
+        """A block of ledger steps (``SimRuntime.charge_block``).
+
+        The same counters as one :meth:`on_subround` per subround the
+        block opens and one :meth:`on_step` per step, with the work
+        summed in step order; with a tracer, the same events in the
+        same order.
+        """
+        opened = len(block.frontier) - block.frontier.count(-1)
+        if opened:
+            self._counter("runtime.subrounds").value += float(opened)
+        for kind in dict.fromkeys(block.kind):
+            self._counter(f"runtime.steps.{kind}").value += float(
+                block.kind.count(kind)
+            )
+        if block.work:
+            work = self._counter("runtime.work")
+            for value in block.work:
+                work.value += value
+        atomics = sum(block.atomics)
+        if atomics:
+            self._counter("runtime.atomics").value += float(atomics)
+        tracer = self.tracer
+        if tracer is not None:
+            for step, kind in enumerate(block.kind):
+                if block.frontier[step] >= 0:
+                    tracer.on_subround(block.frontier[step])
+                tracer.on_step(
+                    kind, block.work[step], block.span[step],
+                    block.barriers[step], tags[step], block.atomics[step],
+                    block.contention[step],
+                )
 
     def on_round(self, k: int | None = None) -> None:
         """A peeling round begins (``k``: its coreness, when known)."""

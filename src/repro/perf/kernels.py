@@ -13,7 +13,9 @@ scan/peel subround that ParK, Julienne and the plain online peel share
 (:func:`threshold_frontier`), and the sampling scheme's neighborhood
 recount (:func:`recount_alive`).  The last three have no separate
 reference loop: outside ``native`` mode they evaluate the reference
-NumPy expression itself.
+NumPy expression itself.  The batch-dynamic insertion repair runs one
+whole level in C (:func:`insertion_level_native`) and charges it as one
+ledger block.
 
 The exactness argument of the VGC wrapper, per mechanism:
 
@@ -55,10 +57,35 @@ from repro.runtime.atomics import (
     DecrementOutcome,
     batch_decrement,
     batch_increment_clamped,
+    segment_contention,
 )
+from repro.runtime.metrics import StepBlock
 
 
-class KernelScratch:
+class PointerCache:
+    """Raw data addresses of run-stable arrays, cached by identity."""
+
+    def __init__(self) -> None:
+        self._ptrs: dict[int, tuple[np.ndarray, int]] = {}
+
+    def ptr(self, array: np.ndarray) -> int:
+        """Raw data address of a run-stable array, cached by identity.
+
+        ``array.ctypes.data`` costs microseconds per access (a ctypes
+        helper object is built each time), which the per-subround native
+        calls pay a dozen times over; the cache keeps a reference to
+        every array it has seen, so an entry can never dangle (the id
+        key stays pinned to the same object).  Use only for arrays that
+        persist across calls — per-round temporaries would accumulate.
+        """
+        entry = self._ptrs.get(id(array))
+        if entry is None:
+            entry = (array, array.ctypes.data)
+            self._ptrs[id(array)] = entry
+        return entry[1]
+
+
+class KernelScratch(PointerCache):
     """Per-run reusable kernel buffers, allocated lazily on first use.
 
     The flat kernels used to allocate their output streams per subround
@@ -70,6 +97,7 @@ class KernelScratch:
     """
 
     def __init__(self, graph) -> None:
+        super().__init__()
         self._n = int(graph.n)
         self._cap = int(graph.indices.size)
         self._enc: np.ndarray | None = None
@@ -78,7 +106,6 @@ class KernelScratch:
         self._count: np.ndarray | None = None
         self._touched: np.ndarray | None = None
         self._tasks: tuple[np.ndarray, ...] | None = None
-        self._ptrs: dict[int, tuple[np.ndarray, int]] = {}
         self._views: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def enc_buf(self) -> np.ndarray:
@@ -119,22 +146,6 @@ class KernelScratch:
                 np.empty(self._n, dtype=np.int64) for _ in range(3)
             )
         return self._tasks
-
-    def ptr(self, array: np.ndarray) -> int:
-        """Raw data address of a run-stable array, cached by identity.
-
-        ``array.ctypes.data`` costs microseconds per access (a ctypes
-        helper object is built each time), which the per-subround native
-        calls pay a dozen times over; the cache keeps a reference to
-        every array it has seen, so an entry can never dangle (the id
-        key stays pinned to the same object).  Use only for arrays that
-        persist across calls — per-round temporaries would accumulate.
-        """
-        entry = self._ptrs.get(id(array))
-        if entry is None:
-            entry = (array, array.ctypes.data)
-            self._ptrs[id(array)] = entry
-        return entry[1]
 
     def u8(self, array: np.ndarray) -> np.ndarray:
         """Cached ``uint8`` reinterpretation of a run-stable bool array."""
@@ -424,15 +435,14 @@ def recount_alive(
     ok = ~peeled[neighbors]
     if coreness is not None:
         ok |= coreness[neighbors] >= k
-    if ok.size == 0:
-        return np.zeros(vertices.size, dtype=np.int64)
     lengths = graph.indptr[vertices + 1] - graph.indptr[vertices]
-    bounds = np.concatenate(([0], np.cumsum(lengths)))
-    # reduceat needs indices < len(ok); zero-length segments are clamped
-    # and overwritten below.
-    starts = np.minimum(bounds[:-1], ok.size - 1)
-    counts = np.add.reduceat(ok.astype(np.int64), starts)
-    counts[lengths == 0] = 0
+    counts = np.zeros(vertices.size, dtype=np.int64)
+    # Only non-empty segments reduce: reduceat reports the next
+    # segment's first entry for an empty one.
+    full = np.flatnonzero(lengths)
+    if full.size:
+        starts = (np.cumsum(lengths) - lengths)[full]
+        counts[full] = np.add.reduceat(ok.astype(np.int64), starts)
     return counts
 
 
@@ -456,3 +466,125 @@ def threshold_frontier(
             dtilde, peeled, k, scratch.touched_buf(), scratch=scratch
         )
     return np.nonzero((~peeled) & (dtilde <= k))[0]
+
+
+# ---------------------------------------------------------------------------
+# Batch-dynamic insertion level: subcore BFS, cd init and peel in one call
+# ---------------------------------------------------------------------------
+
+
+class LevelScratch(PointerCache):
+    """Per-service buffers of :func:`insertion_level_native`.
+
+    One set per :class:`repro.core.batch_dynamic.BatchDynamicKCore`
+    (the vertex count never changes), allocated once; pages are only
+    touched as far as a level reaches.  ``marks`` is kept all-zero
+    between calls (the kernel re-zeros the candidates it marked), and
+    the contention buffer grows with the graph's arc count.
+    """
+
+    def __init__(self, n: int) -> None:
+        super().__init__()
+        self.marks = np.zeros(n, dtype=np.uint8)
+        self.cd, self.cand, self.queue, self.touched = (
+            np.empty(n, dtype=np.int64) for _ in range(4)
+        )
+        # A level has at most one BFS row and one peel row per candidate.
+        self.rows = tuple(
+            np.empty(2 * n + 1, dtype=np.int64) for _ in range(4)
+        )
+        self.contention = np.empty(0, dtype=np.int64)
+
+    def reserve(self, arcs: int) -> None:
+        """Grow the contention buffer to hold at least ``arcs`` counts."""
+        if self.contention.size < arcs:
+            self.contention = np.empty(
+                max(arcs, 2 * self.contention.size), dtype=np.int64
+            )
+
+
+def insertion_level_native(
+    graph,
+    coreness: np.ndarray,
+    roots: np.ndarray,
+    r: int,
+    scratch: LevelScratch,
+    model,
+) -> tuple[np.ndarray, int, StepBlock | None, list[str]]:
+    """One batch-dynamic insertion level in C, priced as one ledger block.
+
+    Returns ``(survivors, candidates, block, tags)``: the candidates to
+    raise to ``r + 1`` (a fresh unsorted array), the candidate count, and
+    the level's steps for :meth:`SimRuntime.charge_block` (``None`` and
+    no tags when no root is at level ``r``).  The block is the reference
+    rounds' ledger step for step: per BFS subround ``dyn_subcore`` and,
+    unless it is the last, ``frontier_bag``; ``dyn_cd_init``; per peel
+    subround ``dyn_peel``; ``dyn_relabel`` when a candidate survives.
+    Each row's frontier set is the reference's, so its costs follow in
+    closed form — exact with the dyadic cost constants, as for the VGC
+    kernel — and each peel step's atomics and contention reduce from its
+    contention segment.
+    """
+    from repro.perf import native
+
+    scratch.reserve(graph.indices.size)
+    survivors, (nv, ne, dmax, aux), bfs, segments = (
+        native.run_insertion_level(graph, coreness, roots, r, scratch)
+    )
+    if nv.size == 0:
+        return survivors.copy(), 0, None, []
+    # One task per frontier vertex costing vertex_op + edge_op * degree:
+    # the row's work in closed form and, edge_op >= 0, its span at the
+    # largest degree.
+    task_costs = model.vertex_op * nv + model.edge_op * ne
+    span = model.vertex_op + model.edge_op * dmax
+    peels = nv.size - bfs - 1
+    atomics, contention = segment_contention(segments, aux[bfs + 1 :])
+    task_costs[bfs + 1 :] += atomics * model.atomic_op
+    span[bfs + 1 :] += contention * model.contended_atomic_op
+
+    relabel = int(survivors.size > 0)
+    size = 2 * bfs + peels + relabel
+    rounds = slice(0, 2 * bfs - 1, 2)
+    bags = slice(1, 2 * bfs - 1, 2)
+    rest = slice(2 * bfs - 1, 2 * bfs + peels)
+    peel = slice(2 * bfs, 2 * bfs + peels)
+    work = np.empty(size)
+    spans = np.empty(size)
+    work[rounds] = task_costs[:bfs]
+    spans[rounds] = span[:bfs]
+    work[bags] = model.bag_insert_op * aux[: bfs - 1]
+    spans[bags] = model.bag_insert_op
+    work[rest] = task_costs[bfs:]
+    spans[rest] = span[bfs:]
+    barriers = np.full(size, model.online_barriers, dtype=np.int64)
+    barriers[bags] = 0
+    if relabel:
+        work[-1] = model.scan_op * survivors.size
+        spans[-1] = model.scan_op
+        barriers[-1] = 0
+    step_atomics = np.zeros(size, dtype=np.int64)
+    step_atomics[peel] = atomics
+    step_contention = np.zeros(size, dtype=np.int64)
+    step_contention[peel] = contention
+    frontier = np.full(size, -1, dtype=np.int64)
+    frontier[rounds] = nv[:bfs]
+    frontier[peel] = nv[bfs + 1 :]
+    block = StepBlock(
+        kind=["parallel_for"] * (2 * bfs)
+        + ["parallel_update"] * peels
+        + ["parallel_for"] * relabel,
+        work=work.tolist(),
+        span=spans.tolist(),
+        barriers=barriers.tolist(),
+        atomics=step_atomics.tolist(),
+        contention=step_contention.tolist(),
+        frontier=frontier.tolist(),
+    )
+    tags = (
+        ["dyn_subcore", "frontier_bag"] * (bfs - 1)
+        + ["dyn_subcore", "dyn_cd_init"]
+        + ["dyn_peel"] * peels
+        + ["dyn_relabel"] * relabel
+    )
+    return survivors.copy(), int(nv[bfs]), block, tags

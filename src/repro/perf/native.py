@@ -302,6 +302,129 @@ void recount_alive(
     }
 }
 
+/* One level of the batch-dynamic insertion repair, transcribed from
+ * BatchDynamicKCore._subcore and _peel_level: the frontier-synchronous
+ * BFS from the roots through coreness-r vertices, the cd init, and the
+ * threshold peel at r with batched unit decrements (paper Alg. 1/3).
+ * The BFS closes the candidate set over level-r neighbors, so cd(v),
+ * the neighbors above r or in the set, is the neighbors at r or above,
+ * counted in the BFS pass.  The ledger prices frontier *sets* in closed
+ * form, so no frontier is sorted.  Writes one row per ledger step
+ * group: the BFS subrounds, the cd init, then the peel subrounds.  aux
+ * is the next BFS frontier's size on a BFS row and the length of the
+ * subround's contention segment on a peel row; a segment holds, per
+ * distinct decremented vertex, its decrement count.  mark is all-zero
+ * on entry and on return (1: candidate, 2: peeled, 3: candidate
+ * decremented in the current subround); survivors lead cand. */
+void insertion_level(
+    const int64_t *indptr,
+    const int64_t *indices,
+    const int64_t *coreness,
+    const int64_t *roots,
+    int64_t n_roots,
+    int64_t r,
+    uint8_t *mark,            /* all-zero, capacity >= n */
+    int64_t *cd,              /* scratch, capacity >= n */
+    int64_t *cand,            /* candidates, survivors first; >= n */
+    int64_t *queue,           /* peel frontiers, capacity >= n */
+    int64_t *touched,         /* one subround's targets, capacity >= n */
+    int64_t *nv_out,          /* per row: frontier size */
+    int64_t *ne_out,          /* per row: degree sum */
+    int64_t *dmax_out,        /* per row: largest degree */
+    int64_t *aux_out,         /* per row: bag inserts or segment length */
+    int64_t *contention_out,  /* segments, capacity >= indices size */
+    int64_t *counters)        /* [cand, bfs rows, peel rows, survivors, cp] */
+{
+    int64_t nc = 0, rows = 0, head = 0, cp = 0, ne_all = 0, dmax_all = 0;
+    for (int64_t i = 0; i < n_roots; i++) {
+        int64_t v = roots[i];
+        if (coreness[v] == r && !mark[v]) {
+            mark[v] = 1;
+            cand[nc++] = v;
+        }
+    }
+    while (head < nc) {
+        int64_t end = nc, ne = 0, dmax = 0;
+        for (int64_t i = head; i < end; i++) {
+            int64_t v = cand[i], lo = indptr[v], hi = indptr[v + 1], c = 0;
+            ne += hi - lo;
+            if (hi - lo > dmax)
+                dmax = hi - lo;
+            for (int64_t p = lo; p < hi; p++) {
+                int64_t u = indices[p], k = coreness[u];
+                c += k >= r;
+                if (k == r && !mark[u]) {
+                    mark[u] = 1;
+                    cand[nc++] = u;
+                }
+            }
+            cd[v] = c;
+        }
+        nv_out[rows] = end - head;
+        ne_out[rows] = ne;
+        dmax_out[rows] = dmax;
+        aux_out[rows++] = nc - end;
+        ne_all += ne;
+        if (dmax > dmax_all)
+            dmax_all = dmax;
+        head = end;
+    }
+    int64_t bfs_rows = rows;
+    if (nc) {
+        nv_out[rows] = nc;
+        ne_out[rows] = ne_all;
+        dmax_out[rows] = dmax_all;
+        aux_out[rows++] = 0;
+    }
+    int64_t qh = 0, qt = 0;
+    for (int64_t i = 0; i < nc; i++)
+        if (cd[cand[i]] <= r)
+            queue[qt++] = cand[i];
+    while (qh < qt) {
+        int64_t end = qt, ne = 0, dmax = 0, tp = 0;
+        for (int64_t i = qh; i < end; i++)
+            mark[queue[i]] = 2;
+        for (int64_t i = qh; i < end; i++) {
+            int64_t v = queue[i], lo = indptr[v], hi = indptr[v + 1];
+            ne += hi - lo;
+            if (hi - lo > dmax)
+                dmax = hi - lo;
+            for (int64_t p = lo; p < hi; p++) {
+                int64_t u = indices[p];
+                if (mark[u] == 1) {
+                    mark[u] = 3;
+                    contention_out[cp + tp] = cd[u];
+                    touched[tp++] = u;
+                }
+                if (mark[u] == 3 && cd[u]-- == r + 1)
+                    queue[qt++] = u;
+            }
+        }
+        for (int64_t i = 0; i < tp; i++) {
+            contention_out[cp + i] -= cd[touched[i]];
+            mark[touched[i]] = 1;
+        }
+        nv_out[rows] = end - qh;
+        ne_out[rows] = ne;
+        dmax_out[rows] = dmax;
+        aux_out[rows++] = tp;
+        cp += tp;
+        qh = end;
+    }
+    int64_t ns = 0;
+    for (int64_t i = 0; i < nc; i++) {
+        int64_t v = cand[i];
+        if (mark[v] == 1)
+            cand[ns++] = v;
+        mark[v] = 0;
+    }
+    counters[0] = nc;
+    counters[1] = bfs_rows;
+    counters[2] = rows - bfs_rows - (nc > 0);
+    counters[3] = ns;
+    counters[4] = cp;
+}
+
 /* The full-array frontier scan of the scan-based baselines: pack every
  * unpeeled vertex with dtilde <= k, ascending (np.nonzero order). */
 void scan_frontier(
@@ -341,6 +464,15 @@ COST_COUNTERS = {
 PKC_COST_COUNTERS = {
     "nv": "vertex_op",
     "ne": ["edge_op", "atomic_op"],
+}
+
+#: Same cross-check for the insertion-level kernel: its per-row counter
+#: outputs mapped to the cost-model fields each is priced with in
+#: :func:`repro.perf.kernels.insertion_level_native` (one task per
+#: frontier vertex, ``vertex_op + edge_op * degree``).
+LEVEL_COST_COUNTERS = {
+    "nv": "vertex_op",
+    "ne": "edge_op",
 }
 
 
@@ -418,6 +550,7 @@ def _load() -> ctypes.CDLL | None:
         hind = lib.hindex_round
         dirty = lib.mark_dirty
         recount = lib.recount_alive
+        level = lib.insertion_level
     except (OSError, AttributeError):
         _available = False
         return None
@@ -449,6 +582,10 @@ def _load() -> ctypes.CDLL | None:
     recount.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_int64] * 2 + [
         ctypes.c_void_p
     ] * 1
+    level.restype = None
+    level.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_int64] * 2 + [
+        ctypes.c_void_p
+    ] * 11
     _lib = lib
     _available = True
     return _lib
@@ -784,4 +921,71 @@ def run_mark_dirty(
         _ptr(changed),
         int(changed.size),
         _ptr(dirty),
+    )
+
+
+def run_insertion_level(
+    graph,
+    coreness: np.ndarray,
+    roots: np.ndarray,
+    r: int,
+    scratch,
+) -> tuple[np.ndarray, tuple[np.ndarray, ...], int, np.ndarray]:
+    """One insertion level (subcore BFS, cd init, peel) in C.
+
+    ``scratch`` is the service's :class:`repro.perf.kernels.LevelScratch`,
+    reserved for the graph's arc count.  Returns ``(survivors, rows,
+    bfs_rows, contention)``: the candidates that survive the peel at
+    ``r`` (unsorted; empty with no candidates), the per-row counter
+    columns ``(nv, ne, dmax, aux)`` (BFS rows, the cd-init row, then the
+    peel rows; none when the level has no candidates), the number of BFS
+    rows and the concatenated contention segments of the peel rows.  The
+    returned arrays are views into ``scratch``, valid until its next
+    call.  C indexes ``coreness`` and the marks by vertex and writes at
+    most one contention entry per arc, so the roots' range, both layouts
+    and the buffer's capacity are checked first, in ``O(|roots|)``.
+    """
+    lib = _load()
+    if lib is None:  # pragma: no cover - callers check available() first
+        raise RuntimeError("native kernel unavailable")
+    n = int(graph.n)
+    roots = _check_ids("roots", roots, n)
+    _check_array("coreness", coreness, np.int64, n)
+    _check_array("marks", scratch.marks, np.uint8, n)
+    contention = scratch.contention
+    _check_array("contention", contention, np.int64)
+    if contention.size < graph.indices.size:
+        raise ValueError(
+            f"contention holds {contention.size} < "
+            f"{graph.indices.size} arcs"
+        )
+    counters = np.zeros(5, dtype=np.int64)
+    sp = scratch.ptr
+    nv, ne, dmax, aux = scratch.rows
+    lib.insertion_level(
+        _ptr(graph.indptr),
+        _ptr(graph.indices),
+        _ptr(coreness),
+        _ptr(roots),
+        int(roots.size),
+        int(r),
+        sp(scratch.marks),
+        sp(scratch.cd),
+        sp(scratch.cand),
+        sp(scratch.queue),
+        sp(scratch.touched),
+        sp(nv),
+        sp(ne),
+        sp(dmax),
+        sp(aux),
+        _ptr(contention),
+        _ptr(counters),
+    )
+    nc, bfs_rows, peel_rows, ns, cp = (int(x) for x in counters)
+    rows = bfs_rows + peel_rows + (nc > 0)
+    return (
+        scratch.cand[:ns],
+        (nv[:rows], ne[:rows], dmax[:rows], aux[:rows]),
+        bfs_rows,
+        contention[:cp],
     )

@@ -13,6 +13,7 @@ from repro.runtime.atomics import (
     batch_decrement,
     batch_increment_clamped,
     contention_of,
+    segment_contention,
 )
 from repro.runtime.cost_model import (
     DEFAULT_COST_MODEL,
@@ -26,7 +27,7 @@ from repro.runtime.list_schedule import (
     list_schedule_makespan,
     scheduled_time_on,
 )
-from repro.runtime.metrics import RunMetrics, StepRecord
+from repro.runtime.metrics import RunMetrics, StepBlock, StepRecord
 from repro.runtime.profiler import (
     ParallelismReport,
     TagCost,
@@ -51,11 +52,13 @@ __all__ = [
     "SCALABILITY_THREADS",
     "SimRuntime",
     "SpeedupPoint",
+    "StepBlock",
     "StepRecord",
     "batch_decrement",
     "batch_increment_clamped",
     "burdened_span_speedup",
     "contention_of",
+    "segment_contention",
     "graham_bound",
     "list_schedule_makespan",
     "scheduled_time_on",

@@ -100,6 +100,35 @@ def batch_increment_clamped(
     return counts, reached
 
 
+def segment_contention(
+    counts: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step atomics and largest contention of concatenated histograms.
+
+    ``counts`` concatenates one contention histogram per step (the
+    ``counts`` of a :func:`batch_decrement` each), ``lengths`` gives
+    their sizes.  Returns ``(atomics, max_contention)`` per step: the
+    sum and the max that ``SimRuntime.parallel_update`` takes of one
+    histogram.  An empty histogram gives ``(0, 0)``; ``np.add.reduceat``
+    alone would return the next segment's first count there, so only
+    non-empty segments reduce.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if counts.size != int(lengths.sum()):
+        raise ValueError(
+            f"{counts.size} counts cannot split into segments of total "
+            f"length {int(lengths.sum())}"
+        )
+    atomics = np.zeros(lengths.size, dtype=np.int64)
+    peak = np.zeros(lengths.size, dtype=np.int64)
+    full = np.flatnonzero(lengths)
+    if full.size:
+        starts = (np.cumsum(lengths) - lengths)[full]
+        atomics[full] = np.add.reduceat(counts, starts)
+        peak[full] = np.maximum.reduceat(counts, starts)
+    return atomics, peak
+
+
 def contention_of(targets: np.ndarray) -> np.ndarray:
     """Per-location concurrent-update counts of a batch of atomics."""
     if targets.size == 0:

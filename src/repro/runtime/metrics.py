@@ -67,6 +67,27 @@ class StepRecord:
 
 
 @dataclass
+class StepBlock:
+    """A run of ledger steps for one :meth:`SimRuntime.charge_block` call.
+
+    The columns are Python lists aligned per step.  ``kind`` names the
+    construct each step stands for (``parallel_for`` or
+    ``parallel_update``); ``atomics`` and ``contention`` are a step's
+    atomic updates and largest contention (0 on ``parallel_for``
+    steps); ``frontier`` is the size of a subround that opens just
+    before the step, or -1 where none does.
+    """
+
+    kind: list[str]
+    work: list[float]
+    span: list[float]
+    barriers: list[int]
+    atomics: list[int]
+    contention: list[int]
+    frontier: list[int]
+
+
+@dataclass
 class RunMetrics:
     """Ledger plus aggregate counters for one algorithm execution."""
 
@@ -116,6 +137,29 @@ class RunMetrics:
         self.work += work
         self.span += span
         self.barriers += barriers
+
+    def record_block(
+        self,
+        work: list[float],
+        span: list[float],
+        barriers: list[int],
+        tags: list[str],
+    ) -> None:
+        """Append a run of parallel steps, summed in ledger order.
+
+        The same records and the same float additions, in the same
+        order, as one :meth:`record_parallel` per step.
+        """
+        self.steps.extend(map(StepRecord, work, span, barriers, tags))
+        total = self.work
+        for value in work:
+            total += value
+        self.work = total
+        total = self.span
+        for value in span:
+            total += value
+        self.span = total
+        self.barriers += sum(barriers)
 
     def record_sequential(self, work: float, tag: str = "") -> None:
         """Append a sequential segment (work contributes fully to the span)."""

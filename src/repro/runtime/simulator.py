@@ -12,7 +12,10 @@ parallel constructs in the paper:
 * :meth:`sequential` — work executed on one thread (local searches inside
   VGC, the sequential baselines);
 * :meth:`barrier_only` — an extra synchronization phase with negligible work
-  (e.g. the histogram passes of the offline peel).
+  (e.g. the histogram passes of the offline peel);
+* :meth:`charge_block` — a run of ``parallel_for`` / ``parallel_update``
+  steps and the subrounds they open, priced by the caller and recorded
+  in one call (a native kernel's whole level).
 
 Algorithms remain ordinary single-threaded Python underneath; the runtime
 records what the same logical execution would cost in the work / span /
@@ -35,7 +38,7 @@ import numpy as np
 
 from repro.obs.registry import active_registry
 from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
-from repro.runtime.metrics import RunMetrics
+from repro.runtime.metrics import RunMetrics, StepBlock
 
 class SimRuntime:
     """Accounting context for one simulated parallel execution."""
@@ -176,6 +179,40 @@ class SimRuntime:
             self.registry.on_step(
                 "imbalanced_step", work, span, barriers, tag
             )
+
+    def charge_block(self, block: StepBlock, tags: list[str]) -> None:
+        """Charge a run of priced steps and the subrounds they open.
+
+        Equivalent to calling :meth:`begin_subround` before every step
+        whose ``block.frontier`` is ``>= 0`` and :meth:`parallel_for` or
+        :meth:`parallel_update` (per ``block.kind``) for every step, in
+        order, with the step's ``tags`` entry: the same ledger records
+        and sums, subround counters, contention counters, registry
+        counters and tracer events.  There are no per-task costs to
+        keep, so a runtime recording them rejects a block.
+        """
+        if self.record_task_costs:
+            raise ValueError(
+                "charge_block has no per-task costs to record; charge "
+                "step by step on a runtime with record_task_costs=True"
+            )
+        if len(tags) != len(block.work):
+            raise ValueError(
+                f"{len(tags)} tags for a block of {len(block.work)} steps"
+            )
+        metrics = self.metrics
+        metrics.record_block(block.work, block.span, block.barriers, tags)
+        opened = len(block.frontier) - block.frontier.count(-1)
+        if opened:
+            metrics.subrounds += opened
+            peak = max(block.frontier)
+            if peak > metrics.peak_frontier:
+                metrics.peak_frontier = peak
+        metrics.observe_contention(
+            max(block.contention, default=0), sum(block.atomics)
+        )
+        if self.registry is not None:
+            self.registry.on_block(block, tags)
 
     # ------------------------------------------------------------------
     # Peeling-structure counters

@@ -78,14 +78,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     size = "tiny" if args.tiny else args.size
     graph = suite.load(args.graph, size=size)
     workers = args.workers if args.workers is not None else default_workers()
-    with measure() as wall:
-        result = shard_coreness(
-            graph, DEFAULT_COST_MODEL, workers=workers
-        )
+    try:
+        with measure() as wall:
+            result = shard_coreness(
+                graph, DEFAULT_COST_MODEL, workers=workers
+            )
+    except ValueError as exc:
+        parser.error(str(exc))
     report = {
         "shard_report_version": SHARD_REPORT_VERSION,
         "graph": {

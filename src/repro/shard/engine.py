@@ -86,7 +86,8 @@ def shard_coreness(
 
     ``workers=None`` sizes the pool from :func:`default_workers`;
     ``workers=0`` runs the identical schedule inline in this process
-    (the reference of the ``shard`` oracle subject).  Both drive
+    (the reference of the ``shard`` oracle subject); a negative count
+    raises ``ValueError``.  Both drive
     :func:`repro.shard.rounds.run_rounds`.  A caller-provided ``pool``
     is reset, reused and left open (the bench runner spawns it outside
     the timed region); otherwise the pool — and, for graphs that are not
@@ -96,9 +97,11 @@ def shard_coreness(
     The coreness array, the simulated ledger and the round trajectory
     are bit-identical for every ``workers`` value and kernel mode.
     """
+    if workers is not None and workers < 0:
+        raise ValueError(f"workers must be >= 0 (0: inline), got {workers}")
     if pool is None and workers is None:
         workers = default_workers()
-    if graph.n == 0 or (pool is None and workers <= 0):
+    if graph.n == 0 or (pool is None and workers == 0):
         return run_rounds(graph, model, "shard", max_rounds=max_rounds)
 
     own_pool = pool is None

@@ -10,12 +10,17 @@ matter how many concurrent decrements produced it.
 from __future__ import annotations
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runtime.atomics import (
     batch_decrement,
     batch_increment_clamped,
     contention_of,
+    segment_contention,
 )
+from repro.runtime.simulator import SimRuntime
 
 
 class TestBatchDecrementEmpty:
@@ -137,3 +142,46 @@ class TestContentionOf:
 
     def test_empty(self):
         assert contention_of(np.array([], dtype=np.int64)).size == 0
+
+
+class TestSegmentContention:
+    def test_empty_segment_gives_zero(self):
+        counts = np.array([3, 1, 4], dtype=np.int64)
+        lengths = np.array([2, 0, 1, 0], dtype=np.int64)
+        atomics, peak = segment_contention(counts, lengths)
+        assert atomics.tolist() == [4, 0, 4, 0]
+        assert peak.tolist() == [3, 0, 4, 0]
+        # reduceat alone reports the next segment's first count there.
+        starts = np.cumsum(lengths) - lengths
+        assert np.add.reduceat(counts, starts[:3])[1] == 4
+
+    def test_no_segments(self):
+        atomics, peak = segment_contention(
+            np.zeros(0, np.int64), np.zeros(0, np.int64)
+        )
+        assert atomics.size == 0 and peak.size == 0
+
+    def test_lengths_must_cover_counts(self):
+        with pytest.raises(ValueError, match="segments"):
+            segment_contention(np.ones(3, np.int64), np.array([1, 1]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        segments=st.lists(
+            st.lists(st.integers(1, 9), max_size=6), max_size=8
+        )
+    )
+    def test_equals_what_parallel_update_takes(self, segments):
+        counts = np.array(
+            [c for segment in segments for c in segment], dtype=np.int64
+        )
+        lengths = np.array([len(s) for s in segments], dtype=np.int64)
+        atomics, peak = segment_contention(counts, lengths)
+        for index, segment in enumerate(segments):
+            runtime = SimRuntime()
+            runtime.parallel_update(
+                np.zeros(1), np.array(segment, dtype=np.int64),
+                tag="segment",
+            )
+            assert atomics[index] == runtime.metrics.atomics
+            assert peak[index] == runtime.metrics.max_contention

@@ -9,7 +9,9 @@ the identical simulated-runtime ledger.
 
 from __future__ import annotations
 
+import os
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -279,29 +281,176 @@ def test_batch_result_counters(small_er):
 # Kernel-mode matrix: identical coreness AND identical ledger
 # ----------------------------------------------------------------------
 ALL_MODES = [REFERENCE, AUTO] + ([NATIVE] if native_available() else [])
+needs_native = pytest.mark.skipif(
+    not native_available(), reason="no C compiler"
+)
 
 
-def _replay(monkeypatch, mode, graph, batches):
-    monkeypatch.setenv(KERNELS_ENV, mode)
-    engine = BatchDynamicKCore(graph)
-    for ins, dels in batches:
-        engine.apply_batch(insertions=ins, deletions=dels)
+def _replay(mode, graph, batches):
+    """Everything a replay under ``mode`` shows, batch by batch.
+
+    Per batch: the coreness, the ``BatchResult`` fields, the touched
+    vertices, the ledger steps it appended ``(work, span, barriers,
+    tag)`` and ``to_stable_dict``; then the observed registry's
+    snapshot and its tracer's step events and spans.
+    """
+    from repro.trace import Tracer
+
+    registry = MetricsRegistry("modes", tracer=Tracer())
+    with mock.patch.dict(os.environ, {KERNELS_ENV: mode}):
+        engine = BatchDynamicKCore(graph, registry=registry)
+        per_batch = []
+        for ins, dels in batches:
+            start = len(engine.metrics.steps)
+            result = engine.apply_batch(insertions=ins, deletions=dels)
+            per_batch.append((
+                engine.coreness.tolist(),
+                {
+                    name: value.tolist()
+                    if isinstance(value, np.ndarray) else value
+                    for name, value in vars(result).items()
+                },
+                engine.touched_vertices,
+                [
+                    (step.work, step.span, step.barriers, step.tag)
+                    for step in engine.metrics.steps[start:]
+                ],
+                engine.metrics.to_stable_dict(DEFAULT_COST_MODEL),
+            ))
+    registry.tracer.finish()
     return (
-        engine.coreness.copy(),
-        engine.metrics.to_stable_dict(DEFAULT_COST_MODEL),
+        per_batch,
+        registry.to_snapshot(),
+        registry.tracer.steps,
+        registry.tracer.spans,
     )
+
+
+def assert_modes_agree(graph, batches, mode=NATIVE):
+    """``mode`` and ``reference`` replays agree in every observable."""
+    got = _replay(mode, graph, batches)
+    want = _replay(REFERENCE, graph, batches)
+    for index, (batch_got, batch_want) in enumerate(zip(got[0], want[0])):
+        assert batch_got == batch_want, (mode, index)
+    assert got[1:] == want[1:], mode
+    return want
 
 
 @pytest.mark.parametrize("mode", ALL_MODES)
-def test_kernel_modes_bit_exact(monkeypatch, small_er, mode):
+def test_kernel_modes_bit_exact(small_er, mode):
     rng = np.random.default_rng(3)
     batches = random_batches(small_er, rng, batches=5, batch_size=12)
-    core_m, metrics_m = _replay(monkeypatch, mode, small_er, batches)
-    core_r, metrics_r = _replay(
-        monkeypatch, REFERENCE, small_er, batches
+    assert_modes_agree(small_er, batches, mode)
+
+
+#: Single-batch cases for the native insertion level's corner cases:
+#: (graph edges, n, insertions, the case the reference steps must show).
+LEVEL_CASES = {
+    # The level-0 BFS from vertex 3 meets only vertex 0 (level 2).
+    "bfs-finds-nothing": (
+        [(0, 1), (1, 2), (0, 2)], 5, [(0, 3)], "lone-subround",
+    ),
+    # Vertex 3 rises to 1 at level 0 and is a root again at level 1,
+    # where it is peeled; the second peel subround ({1, 2}) finds every
+    # neighbor already peeled, so it decrements nothing.  The riser 3
+    # seeds a second round that peels level 1 the same way.
+    "empty-segment": ([(0, 1), (1, 2)], 4, [(2, 3)], "empty-peel"),
+    "edgeless": ([], 6, [(0, 1), (1, 2), (2, 0), (3, 4)], "raised"),
+}
+
+
+@needs_native
+@pytest.mark.parametrize("case", sorted(LEVEL_CASES))
+def test_native_level_corner_cases(case):
+    edges, n, insertions, shows = LEVEL_CASES[case]
+    graph = CSRGraph.from_edges(n, edges)
+    per_batch, _, events, _ = assert_modes_agree(
+        graph, [(insertions, [])]
     )
-    assert np.array_equal(core_m, core_r), mode
-    assert metrics_m == metrics_r, mode
+    tags = [event.tag for event in events]
+    if shows == "lone-subround":
+        # A BFS subround with no frontier-bag step after it, straight
+        # into the cd init: the level's only subround found nothing.
+        assert tags[tags.index("dyn_subcore") + 1] == "dyn_cd_init"
+    elif shows == "empty-peel":
+        peels = [event for event in events if event.tag == "dyn_peel"]
+        assert [event.atomics for event in peels] == [2, 0, 2, 0]
+        assert per_batch[0][0] == [1, 1, 1, 1]
+    else:
+        assert per_batch[0][0] == [2, 2, 2, 1, 1, 0]
+
+
+#: One rejected input each: (argument, bad value from (graph, coreness),
+#: error).  ``marks`` and ``contention`` live in the scratch.
+BAD_LEVEL = {
+    "roots-above-n": ("roots", lambda g, core: np.array([g.n]), IndexError),
+    "roots-negative": ("roots", lambda g, core: np.array([-1]), IndexError),
+    "coreness-int32": (
+        "coreness", lambda g, core: core.astype(np.int32), ValueError
+    ),
+    "coreness-short": (
+        "coreness", lambda g, core: core[:-1].copy(), ValueError
+    ),
+    "coreness-strided": (
+        "coreness", lambda g, core: np.repeat(core, 2)[::2], ValueError
+    ),
+    "marks-bool": ("marks", lambda g, core: np.zeros(g.n, bool), ValueError),
+    "marks-short": (
+        "marks", lambda g, core: np.zeros(g.n - 1, np.uint8), ValueError
+    ),
+    "contention-too-small": (
+        "contention",
+        lambda g, core: np.empty(g.indices.size - 1, np.int64),
+        ValueError,
+    ),
+}
+
+
+@needs_native
+@pytest.mark.parametrize("case", sorted(BAD_LEVEL))
+def test_insertion_level_rejects_bad_input(small_er, case):
+    from repro.perf.kernels import LevelScratch
+    from repro.perf.native import run_insertion_level
+
+    coreness = reference_coreness(small_er).copy()
+    scratch = LevelScratch(small_er.n)
+    scratch.reserve(small_er.indices.size)
+    args = {"roots": np.array([0, 5]), "coreness": coreness}
+    run_insertion_level(small_er, r=int(coreness[0]), scratch=scratch,
+                        **args)  # well-formed: accepted
+    name, bad, error = BAD_LEVEL[case]
+    if name in args:
+        args[name] = bad(small_er, coreness)
+    else:
+        setattr(scratch, name, bad(small_er, coreness))
+    with pytest.raises(error, match=name):
+        run_insertion_level(small_er, r=int(coreness[0]), scratch=scratch,
+                            **args)
+
+
+@needs_native
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_native_level_matches_reference(data):
+    n = data.draw(st.integers(min_value=2, max_value=20), label="n")
+    pair = st.tuples(
+        st.integers(0, n - 1), st.integers(0, n - 1)
+    ).filter(lambda uv: uv[0] != uv[1])
+    graph = CSRGraph.from_edges(
+        n, data.draw(st.lists(pair, max_size=40), label="initial_edges")
+    )
+    batches = [
+        (
+            data.draw(st.lists(pair, max_size=12), label=f"ins{index}"),
+            data.draw(st.lists(pair, max_size=6), label=f"dels{index}"),
+        )
+        for index in range(data.draw(st.integers(1, 4), label="batches"))
+    ]
+    assert_modes_agree(graph, batches)
 
 
 def test_native_unavailable_falls_back(monkeypatch):

@@ -91,6 +91,19 @@ class TestR001ChargeCoverage:
         )
         assert findings == []
 
+    def test_block_charge_counts_as_charging(self):
+        findings = lint(
+            """
+            import numpy as np
+
+            def level(graph, runtime, block, tags):
+                degrees = np.diff(graph.indptr)
+                runtime.charge_block(block, tags=tags)
+                return degrees
+            """
+        )
+        assert findings == []
+
     def test_conditional_charge_is_clean(self):
         findings = lint(
             """
@@ -225,15 +238,29 @@ class TestR002UntaggedCharge:
     def test_every_charge_method_is_covered(self):
         findings = lint(
             """
-            def f(runtime, costs, counts, works):
+            def f(runtime, costs, counts, works, block):
                 runtime.parallel_for(costs)
                 runtime.parallel_update(costs, counts)
                 runtime.sequential(1.0)
                 runtime.barrier_only(2)
                 runtime.imbalanced_step(works)
+                runtime.charge_block(block)
             """
         )
-        assert rule_ids(findings) == ["R002"] * 5
+        assert rule_ids(findings) == ["R002"] * 6
+
+    def test_block_charge_needs_its_tags(self):
+        findings = lint(
+            """
+            def f(runtime, block, tags):
+                runtime.charge_block(block, tag="level")
+                runtime.charge_block(block, tags=[])
+                runtime.charge_block(block, tags=())
+            """
+        )
+        assert rule_ids(findings) == ["R002"] * 3
+        assert "no tags=" in findings[0].message
+        assert "empty tags=" in findings[1].message
 
     def test_keyword_tags_are_clean(self):
         findings = lint(
@@ -242,6 +269,7 @@ class TestR002UntaggedCharge:
                 runtime.parallel_for(costs, tag="gather")
                 runtime.parallel_update(costs, counts, tag=label)
                 runtime.barrier_only(1, tag="sync")
+                runtime.charge_block(costs, tags=["peel"] * len(counts))
             """
         )
         assert findings == []
@@ -713,6 +741,16 @@ class TestR008MetricsSideEffect:
         assert rule_ids(findings) == ["R006"]
         assert "is not None" in findings[0].message
 
+    def test_unguarded_block_hook_is_flagged(self):
+        findings = lint(
+            """
+            def f(self, block, tags):
+                self.registry.on_block(block, tags)
+            """,
+            select=["R006"],
+        )
+        assert rule_ids(findings) == ["R006"]
+
     def test_guarded_registry_hook_is_clean(self):
         findings = lint(
             """
@@ -776,6 +814,18 @@ class TestR008MetricsSideEffect:
         )
         assert rule_ids(findings) == ["R006"]
         assert "charge" in findings[0].message
+
+    def test_block_charge_inside_obs_package_is_flagged(self):
+        findings = lint(
+            """
+            def export(runtime, block, tags):
+                runtime.charge_block(block, tags=tags)
+                runtime.metrics.record_block([1.0], [1.0], [1], tags)
+            """,
+            path="src/repro/obs/export.py",
+            select=["R006"],
+        )
+        assert rule_ids(findings) == ["R006", "R006"]
 
     def test_randomness_inside_obs_package_is_flagged(self):
         findings = lint(

@@ -14,6 +14,8 @@ import json
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.lint.baseline import filter_new, load_baseline, write_baseline
 from repro.lint.cli import main
 from repro.lint.engine.modulegraph import Module, module_name_for
@@ -559,6 +561,45 @@ def run(lib, indptr, dtilde, n_tasks, k, nv, scratch=None):
 '''
 
 
+LEVEL_NATIVE = '''
+_SOURCE = r"""
+void insertion_level(
+    const long *indptr,
+    long n_roots,
+    long *nv_out,
+    long *ne_out,
+    long *counters)
+{
+    counters[0] = 0;
+    counters[1] = 0;
+    counters[2] = 0;
+}
+"""
+
+LEVEL_COST_COUNTERS = {"nv": "vertex_op", "ne": "edge_op"}
+
+import ctypes
+import numpy as np
+
+def _ptr(a):
+    return a
+
+def run_level(lib, indptr, n_roots, scratch):
+    level = lib.insertion_level
+    level.argtypes = [ctypes.c_void_p] * 1 + [ctypes.c_int64] * 1 + [
+        ctypes.c_void_p
+    ] * 3
+    counters = np.zeros(3, dtype=np.int64)
+    sp = scratch.ptr
+    lib.insertion_level(
+        _ptr(indptr), n_roots, sp(scratch.nv), sp(scratch.ne),
+        _ptr(counters)
+    )
+    nc, bfs, peels = (int(x) for x in counters)
+    return nc, bfs, peels
+'''
+
+
 class TestR007NativeParity:
     def _lint(self, tmp_path, native: str, cost_model: str = GOOD_COST_MODEL):
         write_tree(
@@ -658,6 +699,56 @@ class TestR007NativeParity:
         )
         findings = self._lint(tmp_path, broken, PKC_COST_MODEL)
         assert any("nx_out" in f.message for f in findings)
+
+    def test_level_fixture_passes(self, tmp_path):
+        write_tree(
+            tmp_path,
+            {
+                "src/repro/perf/native.py": LEVEL_NATIVE,
+                "src/repro/runtime/cost_model.py": GOOD_COST_MODEL,
+                "src/repro/perf/kernels.py": """
+                def insertion_level_native(model, nv, ne):
+                    task_costs = model.vertex_op * nv + model.edge_op * ne
+                    return task_costs
+                """,
+            },
+        )
+        findings = run_lint([tmp_path / "src"], select=["R007"]).findings
+        assert findings == [], "\n".join(f.render() for f in findings)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("[ctypes.c_void_p] * 1 + [ctypes.c_int64] * 1",
+             "[ctypes.c_void_p] * 2 + [ctypes.c_int64] * 0", "argtypes"),
+            ("np.zeros(3", "np.zeros(4", "counters"),
+            ("nc, bfs, peels =", "nc, bfs =", "counters unpack"),
+            ('"ne": "edge_op"', '"nd": "edge_op"', "nd_out"),
+            ('"ne": "edge_op"', '"ne": "hyper_op"', "not a CostModel"),
+        ],
+    )
+    def test_level_kernel_drift_fails(self, tmp_path, old, new, message):
+        assert old in LEVEL_NATIVE
+        findings = self._lint(tmp_path, LEVEL_NATIVE.replace(old, new))
+        assert any(message in f.message for f in findings), [
+            f.message for f in findings
+        ]
+
+    def test_level_closed_form_drift_fails(self, tmp_path):
+        write_tree(
+            tmp_path,
+            {
+                "src/repro/perf/native.py": LEVEL_NATIVE,
+                "src/repro/runtime/cost_model.py": GOOD_COST_MODEL,
+                "src/repro/perf/kernels.py": """
+                def insertion_level_native(model, nv, ne):
+                    task_costs = model.vertex_op * nv
+                    return task_costs
+                """,
+            },
+        )
+        findings = run_lint([tmp_path / "src"], select=["R007"]).findings
+        assert any("LEVEL_COST_COUNTERS" in f.message for f in findings)
 
     def test_pkc_closed_form_drift_fails(self, tmp_path):
         write_tree(

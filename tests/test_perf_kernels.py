@@ -170,6 +170,20 @@ def test_recount_alive_matches_oracle(monkeypatch, mode, seed):
     assert not recount_alive(graph, all_peeled, vertices).any()
 
 
+@pytest.mark.parametrize("mode", [REFERENCE, *FAST_MODES])
+def test_recount_alive_trailing_isolated_vertex(monkeypatch, mode):
+    """An empty neighborhood after a full one leaves the full one whole."""
+    from repro.graphs.csr import CSRGraph
+    from repro.perf.kernels import recount_alive
+
+    monkeypatch.setenv(KERNELS_ENV, mode)
+    graph = CSRGraph.from_edges(4, [(0, 1), (0, 2)])
+    peeled = np.zeros(4, dtype=bool)
+    vertices = np.array([3, 1, 3, 0, 3], dtype=np.int64)
+    got = recount_alive(graph, peeled, vertices)
+    assert got.tolist() == [0, 1, 0, 2, 0]
+
+
 @pytest.mark.parametrize("mode", FAST_MODES)
 def test_recount_alive_rejects_bad_input(monkeypatch, mode):
     from repro.perf.kernels import recount_alive

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runtime.atomics import (
     batch_decrement,
@@ -15,7 +17,7 @@ from repro.runtime.cost_model import (
     nanos_to_millis,
     nanos_to_seconds,
 )
-from repro.runtime.metrics import RunMetrics, step_time_parts
+from repro.runtime.metrics import RunMetrics, StepBlock, step_time_parts
 from repro.runtime.scheduler import (
     burdened_span_speedup,
     self_relative_speedup,
@@ -230,6 +232,110 @@ class TestSimRuntime:
         assert rt.metrics.rounds == 1
         assert rt.metrics.subrounds == 2
         assert rt.metrics.peak_frontier == 25
+
+
+#: One step: (parallel_update?, task costs, contention counts, barriers,
+#: frontier of a subround opened before it or None).  Dyadic costs keep
+#: every sum exact in any order, as the pinned cost model does.
+STEP = st.tuples(
+    st.booleans(),
+    st.lists(st.integers(0, 64).map(lambda x: x / 4), min_size=1,
+             max_size=5),
+    st.lists(st.integers(1, 9), max_size=5),
+    st.integers(0, 2),
+    st.one_of(st.none(), st.integers(0, 50)),
+)
+
+
+def _observed_runtime(**kwargs):
+    from repro.obs import MetricsRegistry
+    from repro.trace import Tracer
+
+    runtime = SimRuntime(
+        registry=MetricsRegistry("block", tracer=Tracer()), **kwargs
+    )
+    runtime.begin_round(3)
+    runtime.parallel_for(DEFAULT_COST_MODEL.scan_op, count=3, tag="pre")
+    return runtime
+
+
+def _block(steps, model=DEFAULT_COST_MODEL) -> StepBlock:
+    """The steps priced the way parallel_for / parallel_update price them."""
+    kind, work, span, barriers, atomics, contention, frontier = (
+        [], [], [], [], [], [], []
+    )
+    for update, costs, counts, step_barriers, opened in steps:
+        counts = counts if update else []
+        kind.append("parallel_update" if update else "parallel_for")
+        work.append(
+            float(np.asarray(costs).sum()) + sum(counts) * model.atomic_op
+        )
+        span.append(
+            max(costs) + max(counts, default=0) * model.contended_atomic_op
+        )
+        barriers.append(step_barriers)
+        atomics.append(sum(counts))
+        contention.append(max(counts, default=0))
+        frontier.append(-1 if opened is None else opened)
+    return StepBlock(kind, work, span, barriers, atomics, contention,
+                     frontier)
+
+
+def _everything(runtime):
+    metrics = runtime.metrics
+    tracer = runtime.registry.tracer
+    tracer.finish()
+    return (
+        [(s.work, s.span, s.barriers, s.tag) for s in metrics.steps],
+        metrics.to_stable_dict(),
+        (metrics.subrounds, metrics.peak_frontier, metrics.atomics,
+         metrics.max_contention),
+        runtime.registry.to_snapshot(),
+        tracer.steps,
+        tracer.spans,
+        tracer.counters,
+    )
+
+
+class TestChargeBlock:
+    @settings(max_examples=80, deadline=None)
+    @given(steps=st.lists(STEP, max_size=8), data=st.data())
+    def test_equals_charging_step_by_step(self, steps, data):
+        tags = [
+            data.draw(st.sampled_from(["a", "b", "c"]), label=f"tag{i}")
+            for i in range(len(steps))
+        ]
+        one_by_one = _observed_runtime()
+        for (update, costs, counts, barriers, opened), tag in zip(
+            steps, tags
+        ):
+            if opened is not None:
+                one_by_one.begin_subround(opened)
+            if update:
+                one_by_one.parallel_update(
+                    np.asarray(costs), np.asarray(counts, dtype=np.int64),
+                    barriers=barriers, tag=tag,
+                )
+            else:
+                one_by_one.parallel_for(
+                    np.asarray(costs), barriers=barriers, tag=tag
+                )
+        block = _observed_runtime()
+        block.charge_block(_block(steps), tags=tags)
+        assert _everything(block) == _everything(one_by_one)
+
+    def test_rejects_task_cost_recording(self):
+        runtime = SimRuntime(record_task_costs=True)
+        with pytest.raises(ValueError, match="record_task_costs"):
+            runtime.charge_block(
+                _block([(False, [1.0], [], 1, None)]), tags=["a"]
+            )
+
+    def test_rejects_a_tag_count_mismatch(self):
+        with pytest.raises(ValueError, match="tags"):
+            SimRuntime().charge_block(
+                _block([(False, [1.0], [], 1, None)]), tags=["a", "b"]
+            )
 
 
 class TestAtomics:

@@ -263,6 +263,17 @@ class TestEngine:
         with pytest.raises(RuntimeError):
             shard_coreness(g, workers=0, max_rounds=1)
 
+    @pytest.mark.parametrize("workers", [-1, -2])
+    def test_negative_workers_rejected(self, workers, capsys):
+        from repro.shard.cli import main
+
+        with pytest.raises(ValueError, match="workers must be >= 0"):
+            shard_coreness(grid_2d(8, 8), workers=workers)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["GRID", "--tiny", "--workers", str(workers)])
+        assert exit_info.value.code != 0
+        assert "workers must be >= 0" in capsys.readouterr().err
+
 
 # ----------------------------------------------------------------------
 # mmap sharing across fork and spawn
