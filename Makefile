@@ -61,14 +61,19 @@ shard-smoke:
 
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.serve --tiny
-	for mode in native reference; do \
-		REPRO_KERNELS=$$mode PYTHONPATH=src $(PYTHON) -m repro.serve \
-			--tiny --graph GRID --trace serve-$$mode.trace.json \
-			--output serve-$$mode.json || exit 1; \
+	for graph in GRID LJ-S; do \
+		for mode in native reference; do \
+			REPRO_KERNELS=$$mode PYTHONPATH=src $(PYTHON) -m repro.serve \
+				--tiny --graph $$graph \
+				--trace serve-$$mode-$$graph.trace.json \
+				--output serve-$$mode-$$graph.json || exit 1; \
+		done; \
+		cmp serve-native-$$graph.json serve-reference-$$graph.json \
+			|| exit 1; \
+		$(PYTHON) tools/compare_traces.py \
+			serve-native-$$graph.trace.json \
+			serve-reference-$$graph.trace.json || exit 1; \
 	done
-	cmp serve-native.json serve-reference.json
-	$(PYTHON) tools/compare_traces.py serve-native.trace.json \
-		serve-reference.trace.json
 
 obs-smoke: trace
 	PYTHONPATH=src $(PYTHON) -m repro.serve --tiny --graph GRID \

@@ -8,10 +8,10 @@ replaces one subcore traversal per edge with a **batched update
 engine**:
 
 * :meth:`BatchDynamicKCore.apply_batch` accepts a whole batch of edge
-  insertions *and* deletions, applies them structurally in one flat
-  CSR rebuild, and repairs coreness with frontier-synchronous rounds —
-  one flat kernel invocation per round — instead of one Python BFS per
-  edge;
+  insertions *and* deletions, splices the changed arcs into the sorted
+  arc keys and the CSR arrays (located by binary search, no re-sort),
+  and repairs coreness with frontier-synchronous rounds — one flat
+  kernel invocation per round — instead of one Python BFS per edge;
 * **deletions** cascade top-down: coreness values are upper bounds
   after edge removal, so dirty vertices whose support (neighbors with
   ``kappa >= kappa(v)``) falls short drop one level per round until the
@@ -32,12 +32,13 @@ inside the batch.  The ``updates`` subject of the differential harness
 recompute after every batch.
 
 ``REPRO_KERNELS`` selects the kernels, once per batch.  Under
-``native`` each insertion level — subcore BFS, ``cd`` init and peel —
-is one C call (:func:`repro.perf.kernels.insertion_level_native`) whose
-steps enter the ledger as one block
+``native`` each insertion round — every level's subcore BFS, ``cd``
+init, peel and relabel — is one C call
+(:func:`repro.perf.kernels.insertion_round_native`) whose steps enter
+the ledger as one block
 (:meth:`repro.runtime.simulator.SimRuntime.charge_block`), and the
 deletion cascade gathers with the flat NumPy kernel
-(:func:`neighbor_stream_vectorized`).  Under ``reference`` every round
+(:func:`neighbor_stream_vectorized`).  Under ``reference`` every level
 runs the NumPy code below over the per-edge Python gather loop
 (:func:`neighbor_stream_reference`): the oracle.  Both modes are
 bit-exact — same coreness, same simulated-runtime ledger, same registry
@@ -56,10 +57,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.verify import reference_coreness
+from repro.errors import InvalidGraphError
 from repro.graphs.csr import CSRGraph
 from repro.obs.registry import SIZE_BOUNDARIES
 from repro.perf import NATIVE, REFERENCE, kernel_mode
-from repro.perf.kernels import LevelScratch, insertion_level_native
+from repro.perf.kernels import RoundScratch, insertion_round_native
 from repro.primitives.bitops import sorted_member_mask, sorted_unique
 from repro.runtime.atomics import batch_decrement
 from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
@@ -103,6 +105,33 @@ def resolve_stream_kernel(regime: str | None = None):
     return neighbor_stream_vectorized
 
 
+def _checked_keys(graph: CSRGraph) -> np.ndarray:
+    """Sorted arc keys ``u * n + v`` of a CSR with simple symmetric rows.
+
+    The repair kernels and the arc splice assume every row is sorted,
+    without repeats or self-loops, and that every arc has its reverse;
+    a CSR that breaks this raises :class:`InvalidGraphError` here
+    instead of yielding wrong coreness later.  Strictly increasing keys
+    mean sorted rows without repeats; a simple graph is then symmetric
+    iff its reversed keys, sorted, are the keys themselves.
+    """
+    n = np.int64(max(graph.n, 1))
+    indices = graph.indices
+    if indices.size and (indices.min() < 0 or indices.max() >= graph.n):
+        raise InvalidGraphError("an arc endpoint is out of range")
+    src = np.repeat(np.arange(graph.n, dtype=np.int64), graph.degrees)
+    keys = src * n + indices
+    if np.any(keys[1:] <= keys[:-1]):
+        raise InvalidGraphError(
+            "CSR rows must be sorted and free of repeated arcs"
+        )
+    if np.any(src == indices):
+        raise InvalidGraphError("self-loops are not allowed")
+    if not np.array_equal(np.sort(indices * n + src), keys):
+        raise InvalidGraphError("CSR rows must be symmetric")
+    return keys
+
+
 @dataclass
 class BatchResult:
     """Outcome of one committed update batch.
@@ -139,11 +168,15 @@ class BatchDynamicKCore:
     """Exact coreness under batched edge insertions and deletions.
 
     The graph lives as a sorted flat arc-key array (``u * n + v`` for
-    both directions) from which the CSR view is rebuilt once per batch
-    phase — every repair round then runs on plain CSR with the flat
-    kernels.  Reads (:attr:`coreness`, :meth:`core_number`,
-    :meth:`snapshot`) always observe the last *committed* epoch; a batch
-    commits atomically when :meth:`apply_batch` returns.
+    both directions) beside its CSR view.  Each batch phase splices its
+    arcs into fresh copies of both — positions found by binary search,
+    row offsets shifted by a running count — so a committed CSR is never
+    written again, and every repair round runs on plain CSR with the
+    flat kernels.  The input CSR must have sorted, simple, symmetric
+    rows; anything else raises :class:`InvalidGraphError`.  Reads
+    (:attr:`coreness`, :meth:`core_number`, :meth:`snapshot`) always
+    observe the last *committed* epoch; a batch commits atomically when
+    :meth:`apply_batch` returns.
 
     Batch semantics (documented, tested in tests/test_batch_dynamic.py):
 
@@ -153,7 +186,8 @@ class BatchDynamicKCore:
       edge or deleting an absent one is a no-op (reported in the
       :class:`BatchResult` counters);
     * self-loops are rejected with :class:`ValueError`, out-of-range
-      endpoints with :class:`IndexError`;
+      endpoints with :class:`IndexError`, non-integer endpoints with
+      :class:`TypeError`;
     * the committed coreness depends only on the *set* of updates, never
       on their order inside the batch.
     """
@@ -174,9 +208,8 @@ class BatchDynamicKCore:
                 registry=registry,
             )
         )
-        src = np.repeat(np.arange(graph.n, dtype=np.int64), graph.degrees)
         #: Sorted arc keys (both directions of every undirected edge).
-        self._keys = src * np.int64(max(self.n, 1)) + graph.indices
+        self._keys = _checked_keys(graph)
         self._graph = graph
         self.coreness = reference_coreness(graph).copy()
         #: Committed epoch counter; one increment per apply_batch.
@@ -187,7 +220,7 @@ class BatchDynamicKCore:
         self.batches = 0
         #: Candidate vertices examined by repair rounds (work telemetry).
         self.touched_vertices = 0
-        self._scratch: LevelScratch | None = None
+        self._scratch: RoundScratch | None = None
 
     # ------------------------------------------------------------------
     # Queries (always the last committed epoch)
@@ -330,14 +363,22 @@ class BatchDynamicKCore:
         return result
 
     # ------------------------------------------------------------------
-    # Structural maintenance (arc keys + CSR rebuild)
+    # Structural maintenance (arc keys + CSR splice)
     # ------------------------------------------------------------------
     def _normalize(self, pairs) -> np.ndarray:
         """Canonical sorted unique arc keys (``min * n + max``) of a batch."""
-        arr = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray)
-                         else pairs, dtype=np.int64)
+        arr = np.asarray(
+            pairs if isinstance(pairs, np.ndarray) else list(pairs)
+        )
         if arr.size == 0:
             return _EMPTY
+        # A float or bool endpoint would be truncated to some other
+        # vertex by the cast below.
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise TypeError(
+                f"update endpoints must be integers, got {arr.dtype}"
+            )
+        arr = arr.astype(np.int64, copy=False)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError(
                 f"update batch must have shape (k, 2), got {arr.shape}"
@@ -373,36 +414,47 @@ class BatchDynamicKCore:
 
     def _remove_arcs(self, canonical_keys: np.ndarray) -> None:
         drop = self._both_directions(canonical_keys)
-        mask = sorted_member_mask(self._keys, drop)
-        self._keys = self._keys[~mask]
-        self._rebuild(extra=int(drop.size))
+        pos = np.searchsorted(self._keys, drop)
+        # The canonical arcs are present; their reverses are by symmetry,
+        # which a corrupted key array would break: then the splice would
+        # delete some other arc.
+        if not np.array_equal(self._keys.take(pos, mode="clip"), drop):
+            raise InvalidGraphError(
+                "arc keys lost symmetry: a deleted edge has no reverse arc"
+            )
+        self._keys = np.delete(self._keys, pos)
+        self._splice(np.delete(self._graph.indices, pos), drop, -1)
 
     def _add_arcs(self, canonical_keys: np.ndarray) -> None:
         add = self._both_directions(canonical_keys)
-        merged = np.empty(self._keys.size + add.size, dtype=np.int64)
-        merged[: self._keys.size] = self._keys
-        merged[self._keys.size :] = add
-        merged.sort(kind="stable")
-        self._keys = merged
-        self._rebuild(extra=int(add.size))
-
-    def _rebuild(self, extra: int = 0) -> None:
-        """Rebuild the CSR view from the arc keys; charge the flat pass."""
-        n = self.n
-        if n == 0:
-            return
-        src = self._keys // n
-        dst = self._keys % n
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        counts = np.bincount(src, minlength=n)
-        np.cumsum(counts, out=indptr[1:])
-        self._graph = CSRGraph(
-            indptr, dst, name="batch-dynamic", validate=False
+        pos = np.searchsorted(self._keys, add)
+        self._keys = np.insert(self._keys, pos, add)
+        self._splice(
+            np.insert(self._graph.indices, pos, add % self.n), add, 1
         )
-        # One streaming pass over the arc array plus the update stream.
+
+    def _splice(
+        self, indices: np.ndarray, arcs: np.ndarray, sign: int
+    ) -> None:
+        """Commit spliced ``indices``; shift the row offsets by ``arcs``.
+
+        ``arcs`` are the sorted removed (``sign`` -1) or inserted (+1)
+        arc keys: every row offset moves by the number of them whose
+        source precedes the row.  The ledger charges one streaming pass
+        over the new arc array plus the update stream.
+        """
+        n = self.n
+        shift = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(arcs // n, minlength=n), out=shift[1:])
+        self._graph = CSRGraph(
+            self._graph.indptr + sign * shift,
+            indices,
+            name="batch-dynamic",
+            validate=False,
+        )
         self.runtime.parallel_for(
             self.runtime.model.scan_op,
-            count=int(self._keys.size + extra),
+            count=int(self._keys.size + arcs.size),
             barriers=1,
             tag="dyn_rebuild",
         )
@@ -498,49 +550,62 @@ class BatchDynamicKCore:
         Invariant: ``coreness <= true coreness`` pointwise, and the
         labeling stays *feasible* (every vertex has ``kappa(v)``
         neighbors at its level or above), so every one-level rise the
-        peel grants is permanently correct.  Rounds iterate level groups
-        in ascending order; risers seed the next round; the fixed point
-        is the exact coreness.  ``native`` runs each level in C, else
-        over ``stream``.
+        peel grants is permanently correct.  A round runs the seeds'
+        levels in ascending order, each from the seeds still at that
+        level when it starts; the round's risers seed the next round;
+        the fixed point is the exact coreness.  ``native`` runs each
+        round in C, else each level over ``stream``.
         """
         raised: list[np.ndarray] = []
         while seeds.size:
-            risers_round: list[np.ndarray] = []
             levels = sorted_unique(self.coreness[seeds])
-            for r in levels.tolist():
-                roots = seeds[self.coreness[seeds] == r]
-                if roots.size == 0:
-                    continue
-                if native:
-                    risers = self._native_level(roots, int(r))
-                else:
-                    risers = self._reference_level(roots, int(r), stream)
-                if risers.size:
-                    risers_round.append(risers)
-            if not risers_round:
+            if native:
+                seeds = self._native_round(seeds, levels)
+            else:
+                seeds = self._reference_round(seeds, levels, stream)
+            if seeds.size == 0:
                 break
-            seeds = sorted_unique(np.concatenate(risers_round))
             raised.append(seeds)
         if not raised:
             return _EMPTY
         return sorted_unique(np.concatenate(raised))
 
-    def _native_level(self, roots: np.ndarray, r: int) -> np.ndarray:
-        """One level in C, charged as one block; returns the risers."""
+    def _native_round(
+        self, seeds: np.ndarray, levels: np.ndarray
+    ) -> np.ndarray:
+        """One round in C, charged as one block; returns the risers.
+
+        The kernel stops before a level its scratch might not hold; the
+        levels that ran are charged and the next call resumes there.
+        """
         if self._scratch is None:
-            self._scratch = LevelScratch(self.n)
+            self._scratch = RoundScratch(self.n)
         runtime = self.runtime
-        survivors, candidates, block, tags = insertion_level_native(
-            self._graph, self.coreness, roots, r, self._scratch,
-            runtime.model,
-        )
-        if block is None:
-            return _EMPTY
-        self.touched_vertices += candidates
-        # Disjoint per-vertex label writes (distinct candidates).
-        self.coreness[survivors] = r + 1
-        runtime.charge_block(block, tags=tags)
-        return survivors
+        risers: list[np.ndarray] = []
+        start = 0
+        while start < levels.size:
+            start, survivors, candidates, block, tags = (
+                insertion_round_native(
+                    self._graph, self.coreness, seeds, levels, start,
+                    self._scratch, runtime.model,
+                )
+            )
+            self.touched_vertices += candidates
+            if block is not None:
+                runtime.charge_block(block, tags=tags)
+            risers.append(survivors)
+        return sorted_unique(np.concatenate(risers))
+
+    def _reference_round(
+        self, seeds: np.ndarray, levels: np.ndarray, stream
+    ) -> np.ndarray:
+        """One round in NumPy, level by level; returns the risers."""
+        risers: list[np.ndarray] = [_EMPTY]
+        for r in levels.tolist():
+            roots = seeds[self.coreness[seeds] == r]
+            if roots.size:
+                risers.append(self._reference_level(roots, int(r), stream))
+        return sorted_unique(np.concatenate(risers))
 
     def _reference_level(
         self, roots: np.ndarray, r: int, stream

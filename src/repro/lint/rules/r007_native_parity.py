@@ -3,7 +3,7 @@
 :mod:`repro.perf.native` embeds C transcriptions of the hot peel loops
 (the VGC task loop, the PKC chain drain, the fused scan/peel, the
 frontier scan, the sampling recount, the H-index round, the
-batch-dynamic insertion level) and drives them
+batch-dynamic insertion round) and drives them
 through ``ctypes``; :mod:`repro.perf.kernels` prices the per-task
 counters they return with dyadic closed forms (``vertex_op * nv +
 edge_op * ne + ...``).  Nothing executes across that boundary at lint
@@ -30,7 +30,7 @@ embedded source:
   + 1), the ``np.zeros(N)`` allocation, and the Python tuple unpack in
   the calling function must all agree on the counter width;
 * every key of a cost-counter table (:data:`COST_COUNTERS`,
-  :data:`PKC_COST_COUNTERS`, :data:`LEVEL_COST_COUNTERS`) must have a
+  :data:`PKC_COST_COUNTERS`, :data:`ROUND_COST_COUNTERS`) must have a
   ``<key>_out`` output parameter in its kernel's C signature, and every
   value — a field name or a list of field names — must name real
   ``CostModel`` fields whose defaults are **dyadic rationals** (exactly
@@ -40,7 +40,7 @@ embedded source:
 in ``repro/perf/kernels.py``:
 
 * each table's ``task_costs`` closed form (``vgc_peel_tasks_native``,
-  ``pkc_thread_works``, ``insertion_level_native``) must multiply
+  ``pkc_thread_works``, ``insertion_round_native``) must multiply
   exactly the ``model.<field> * <counter>`` pairs the table declares —
   no more, no fewer, no renames.
 """
@@ -63,7 +63,7 @@ from repro.lint.registry import rule
 _COST_TABLES = {
     "COST_COUNTERS": ("vgc_peel_tasks", "vgc_peel_tasks_native"),
     "PKC_COST_COUNTERS": ("pkc_chain_drain", "pkc_thread_works"),
-    "LEVEL_COST_COUNTERS": ("insertion_level", "insertion_level_native"),
+    "ROUND_COST_COUNTERS": ("insertion_round", "insertion_round_native"),
 }
 
 

@@ -14,8 +14,8 @@ scan/peel subround that ParK, Julienne and the plain online peel share
 recount (:func:`recount_alive`).  The last three have no separate
 reference loop: outside ``native`` mode they evaluate the reference
 NumPy expression itself.  The batch-dynamic insertion repair runs one
-whole level in C (:func:`insertion_level_native`) and charges it as one
-ledger block.
+whole round, all its levels, in C (:func:`insertion_round_native`) and
+charges it as one ledger block.
 
 The exactness argument of the VGC wrapper, per mechanism:
 
@@ -469,122 +469,125 @@ def threshold_frontier(
 
 
 # ---------------------------------------------------------------------------
-# Batch-dynamic insertion level: subcore BFS, cd init and peel in one call
+# Batch-dynamic insertion round: every level's BFS, cd init and peel in C
 # ---------------------------------------------------------------------------
 
+#: Ledger step of each row tag the round kernel writes, and its kind.
+_ROUND_TAGS = (
+    "dyn_subcore", "frontier_bag", "dyn_cd_init", "dyn_peel", "dyn_relabel"
+)
+_ROUND_KINDS = (
+    "parallel_for", "parallel_for", "parallel_for", "parallel_update",
+    "parallel_for",
+)
+_SUBCORE, _BAG, _PEEL, _RELABEL = 0, 1, 3, 4
 
-class LevelScratch(PointerCache):
-    """Per-service buffers of :func:`insertion_level_native`.
+
+class RoundScratch(PointerCache):
+    """Per-service buffers of :func:`insertion_round_native`.
 
     One set per :class:`repro.core.batch_dynamic.BatchDynamicKCore`
     (the vertex count never changes), allocated once; pages are only
-    touched as far as a level reaches.  ``marks`` is kept all-zero
-    between calls (the kernel re-zeros the candidates it marked), and
-    the contention buffer grows with the graph's arc count.
+    touched as far as a round reaches.  ``marks`` is kept all-zero
+    between calls (the kernel re-zeros the candidates it marked).  A
+    level writes at most ``3n`` rows, ``n`` risers and one contention
+    count per arc, and the kernel starts a level only while that much
+    room is left, so the buffers hold ``levels`` such worst cases: with
+    two, a round stops early only once its earlier levels filled one.
+    The contention buffer grows with the graph's arc count.
     """
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, levels: int = 2) -> None:
         super().__init__()
+        self.levels = levels
         self.marks = np.zeros(n, dtype=np.uint8)
         self.cd, self.cand, self.queue, self.touched = (
             np.empty(n, dtype=np.int64) for _ in range(4)
         )
-        # A level has at most one BFS row and one peel row per candidate.
+        self.risers = np.empty(levels * n, dtype=np.int64)
         self.rows = tuple(
-            np.empty(2 * n + 1, dtype=np.int64) for _ in range(4)
+            np.empty(levels * 3 * n, dtype=np.int64) for _ in range(5)
         )
         self.contention = np.empty(0, dtype=np.int64)
 
     def reserve(self, arcs: int) -> None:
-        """Grow the contention buffer to hold at least ``arcs`` counts."""
-        if self.contention.size < arcs:
+        """Grow the contention buffer to ``levels`` times ``arcs``."""
+        need = self.levels * arcs
+        if self.contention.size < need:
             self.contention = np.empty(
-                max(arcs, 2 * self.contention.size), dtype=np.int64
+                max(need, 2 * self.contention.size), dtype=np.int64
             )
 
 
-def insertion_level_native(
+def insertion_round_native(
     graph,
     coreness: np.ndarray,
     roots: np.ndarray,
-    r: int,
-    scratch: LevelScratch,
+    levels: np.ndarray,
+    start: int,
+    scratch: RoundScratch,
     model,
-) -> tuple[np.ndarray, int, StepBlock | None, list[str]]:
-    """One batch-dynamic insertion level in C, priced as one ledger block.
+) -> tuple[int, np.ndarray, int, StepBlock | None, list[str]]:
+    """One batch-dynamic insertion round in C, priced as one ledger block.
 
-    Returns ``(survivors, candidates, block, tags)``: the candidates to
-    raise to ``r + 1`` (a fresh unsorted array), the candidate count, and
-    the level's steps for :meth:`SimRuntime.charge_block` (``None`` and
-    no tags when no root is at level ``r``).  The block is the reference
-    rounds' ledger step for step: per BFS subround ``dyn_subcore`` and,
-    unless it is the last, ``frontier_bag``; ``dyn_cd_init``; per peel
-    subround ``dyn_peel``; ``dyn_relabel`` when a candidate survives.
-    Each row's frontier set is the reference's, so its costs follow in
-    closed form — exact with the dyadic cost constants, as for the VGC
-    kernel — and each peel step's atomics and contention reduce from its
-    contention segment.
+    Runs ``levels[start:]`` as far as ``scratch`` holds them and raises
+    their survivors in ``coreness``.  Returns ``(next_start, risers,
+    candidates, block, tags)``: the first level not run (``levels.size``
+    when the round is done), the raised vertices (a fresh unsorted array,
+    a vertex once per level it rose at), the candidate count, and the
+    levels' steps for :meth:`SimRuntime.charge_block` (``None`` and no
+    tags when no root was at its level).  The block is the reference
+    rounds' ledger step for step: per level, per BFS subround
+    ``dyn_subcore`` and, unless it is the last, ``frontier_bag``;
+    ``dyn_cd_init``; per peel subround ``dyn_peel``; ``dyn_relabel`` when
+    a candidate survives.  Each row's frontier set is the reference's,
+    so its costs follow in closed form — exact with the dyadic cost
+    constants, as for the VGC kernel — and each peel step's atomics and
+    contention reduce from its contention segment.
     """
     from repro.perf import native
 
     scratch.reserve(graph.indices.size)
-    survivors, (nv, ne, dmax, aux), bfs, segments = (
-        native.run_insertion_level(graph, coreness, roots, r, scratch)
+    done, risers, candidates, (tag, nv, ne, dmax, seg), segments = (
+        native.run_insertion_round(
+            graph, coreness, roots, levels, start, scratch
+        )
     )
-    if nv.size == 0:
-        return survivors.copy(), 0, None, []
+    if tag.size == 0:
+        return done, risers.copy(), candidates, None, []
     # One task per frontier vertex costing vertex_op + edge_op * degree:
     # the row's work in closed form and, edge_op >= 0, its span at the
-    # largest degree.
+    # largest degree.  Bag and relabel rows cost a flat unit per count.
     task_costs = model.vertex_op * nv + model.edge_op * ne
     span = model.vertex_op + model.edge_op * dmax
-    peels = nv.size - bfs - 1
-    atomics, contention = segment_contention(segments, aux[bfs + 1 :])
-    task_costs[bfs + 1 :] += atomics * model.atomic_op
-    span[bfs + 1 :] += contention * model.contended_atomic_op
-
-    relabel = int(survivors.size > 0)
-    size = 2 * bfs + peels + relabel
-    rounds = slice(0, 2 * bfs - 1, 2)
-    bags = slice(1, 2 * bfs - 1, 2)
-    rest = slice(2 * bfs - 1, 2 * bfs + peels)
-    peel = slice(2 * bfs, 2 * bfs + peels)
-    work = np.empty(size)
-    spans = np.empty(size)
-    work[rounds] = task_costs[:bfs]
-    spans[rounds] = span[:bfs]
-    work[bags] = model.bag_insert_op * aux[: bfs - 1]
-    spans[bags] = model.bag_insert_op
-    work[rest] = task_costs[bfs:]
-    spans[rest] = span[bfs:]
-    barriers = np.full(size, model.online_barriers, dtype=np.int64)
-    barriers[bags] = 0
-    if relabel:
-        work[-1] = model.scan_op * survivors.size
-        spans[-1] = model.scan_op
-        barriers[-1] = 0
-    step_atomics = np.zeros(size, dtype=np.int64)
-    step_atomics[peel] = atomics
-    step_contention = np.zeros(size, dtype=np.int64)
-    step_contention[peel] = contention
-    frontier = np.full(size, -1, dtype=np.int64)
-    frontier[rounds] = nv[:bfs]
-    frontier[peel] = nv[bfs + 1 :]
+    peel = tag == _PEEL
+    atomics = np.zeros(tag.size, dtype=np.int64)
+    contention = np.zeros(tag.size, dtype=np.int64)
+    atomics[peel], contention[peel] = segment_contention(segments, seg[peel])
+    task_costs[peel] += atomics[peel] * model.atomic_op
+    span[peel] += contention[peel] * model.contended_atomic_op
+    for code, unit in ((_BAG, model.bag_insert_op), (_RELABEL, model.scan_op)):
+        flat = tag == code
+        task_costs[flat] = unit * nv[flat]
+        span[flat] = unit
+    barriers = np.where(
+        (tag == _BAG) | (tag == _RELABEL), 0, model.online_barriers
+    )
+    frontier = np.where((tag == _SUBCORE) | peel, nv, -1)
+    codes = tag.tolist()
     block = StepBlock(
-        kind=["parallel_for"] * (2 * bfs)
-        + ["parallel_update"] * peels
-        + ["parallel_for"] * relabel,
-        work=work.tolist(),
-        span=spans.tolist(),
+        kind=[_ROUND_KINDS[code] for code in codes],
+        work=task_costs.tolist(),
+        span=span.tolist(),
         barriers=barriers.tolist(),
-        atomics=step_atomics.tolist(),
-        contention=step_contention.tolist(),
+        atomics=atomics.tolist(),
+        contention=contention.tolist(),
         frontier=frontier.tolist(),
     )
-    tags = (
-        ["dyn_subcore", "frontier_bag"] * (bfs - 1)
-        + ["dyn_subcore", "dyn_cd_init"]
-        + ["dyn_peel"] * peels
-        + ["dyn_relabel"] * relabel
+    return (
+        done,
+        risers.copy(),
+        candidates,
+        block,
+        [_ROUND_TAGS[code] for code in codes],
     )
-    return survivors.copy(), int(nv[bfs]), block, tags

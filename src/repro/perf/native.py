@@ -302,127 +302,151 @@ void recount_alive(
     }
 }
 
-/* One level of the batch-dynamic insertion repair, transcribed from
- * BatchDynamicKCore._subcore and _peel_level: the frontier-synchronous
- * BFS from the roots through coreness-r vertices, the cd init, and the
- * threshold peel at r with batched unit decrements (paper Alg. 1/3).
- * The BFS closes the candidate set over level-r neighbors, so cd(v),
- * the neighbors above r or in the set, is the neighbors at r or above,
- * counted in the BFS pass.  The ledger prices frontier *sets* in closed
- * form, so no frontier is sorted.  Writes one row per ledger step
- * group: the BFS subrounds, the cd init, then the peel subrounds.  aux
- * is the next BFS frontier's size on a BFS row and the length of the
- * subround's contention segment on a peel row; a segment holds, per
- * distinct decremented vertex, its decrement count.  mark is all-zero
- * on entry and on return (1: candidate, 2: peeled, 3: candidate
- * decremented in the current subround); survivors lead cand. */
-void insertion_level(
+/* One round of the batch-dynamic insertion repair, transcribed from
+ * BatchDynamicKCore._reference_round: the levels from levels[start] up,
+ * ascending, each from the roots still at its level r when it starts.
+ * A level is _subcore and _peel_level -- the frontier-synchronous BFS
+ * through coreness-r vertices, the cd init, the threshold peel at r with
+ * batched unit decrements (paper Alg. 1/3) -- and its survivors rise to
+ * r + 1 before the next level starts.  The BFS closes the candidate set
+ * over level-r neighbors, so cd(v), the neighbors above r or in the
+ * set, is the neighbors at r or above, counted in the BFS pass.  The
+ * ledger prices frontier *sets* in closed form, so no frontier is
+ * sorted.  Writes one row per ledger step, in ledger order; tag 0-4 is
+ * dyn_subcore, frontier_bag, dyn_cd_init, dyn_peel, dyn_relabel, nv the
+ * frontier size (the bag inserts or the survivors on tags 1 and 4), ne
+ * the degree sum, dmax the largest degree, and seg the length of a peel
+ * row's contention segment, which holds, per distinct decremented
+ * vertex, its decrement count.  A level writes at most 3n rows, n risers
+ * and one segment entry per arc, so it starts only while that much room
+ * is left; counters[0] is the first level not run.  mark is all-zero on
+ * entry and on return (1: candidate, 2: peeled, 3: candidate decremented
+ * in the current subround). */
+void insertion_round(
     const int64_t *indptr,
     const int64_t *indices,
-    const int64_t *coreness,
+    int64_t *coreness,
     const int64_t *roots,
+    const int64_t *levels,
     int64_t n_roots,
-    int64_t r,
+    int64_t n_levels,
+    int64_t start,
+    int64_t n,
+    int64_t row_cap,
+    int64_t riser_cap,
+    int64_t seg_cap,
     uint8_t *mark,            /* all-zero, capacity >= n */
     int64_t *cd,              /* scratch, capacity >= n */
-    int64_t *cand,            /* candidates, survivors first; >= n */
+    int64_t *cand,            /* one level's candidates, capacity >= n */
     int64_t *queue,           /* peel frontiers, capacity >= n */
     int64_t *touched,         /* one subround's targets, capacity >= n */
-    int64_t *nv_out,          /* per row: frontier size */
+    int64_t *risers_out,      /* every level's survivors, riser_cap */
+    int64_t *tag_out,         /* per row: ledger step, row_cap */
+    int64_t *nv_out,          /* per row: frontier size or count */
     int64_t *ne_out,          /* per row: degree sum */
     int64_t *dmax_out,        /* per row: largest degree */
-    int64_t *aux_out,         /* per row: bag inserts or segment length */
-    int64_t *contention_out,  /* segments, capacity >= indices size */
-    int64_t *counters)        /* [cand, bfs rows, peel rows, survivors, cp] */
+    int64_t *seg_out,         /* per row: contention segment length */
+    int64_t *contention_out,  /* segments, seg_cap */
+    int64_t *counters)        /* [next level, rows, cp, risers, cand] */
 {
-    int64_t nc = 0, rows = 0, head = 0, cp = 0, ne_all = 0, dmax_all = 0;
-    for (int64_t i = 0; i < n_roots; i++) {
-        int64_t v = roots[i];
-        if (coreness[v] == r && !mark[v]) {
-            mark[v] = 1;
-            cand[nc++] = v;
-        }
-    }
-    while (head < nc) {
-        int64_t end = nc, ne = 0, dmax = 0;
-        for (int64_t i = head; i < end; i++) {
-            int64_t v = cand[i], lo = indptr[v], hi = indptr[v + 1], c = 0;
-            ne += hi - lo;
-            if (hi - lo > dmax)
-                dmax = hi - lo;
-            for (int64_t p = lo; p < hi; p++) {
-                int64_t u = indices[p], k = coreness[u];
-                c += k >= r;
-                if (k == r && !mark[u]) {
-                    mark[u] = 1;
-                    cand[nc++] = u;
-                }
-            }
-            cd[v] = c;
-        }
-        nv_out[rows] = end - head;
-        ne_out[rows] = ne;
-        dmax_out[rows] = dmax;
-        aux_out[rows++] = nc - end;
-        ne_all += ne;
-        if (dmax > dmax_all)
-            dmax_all = dmax;
-        head = end;
-    }
-    int64_t bfs_rows = rows;
-    if (nc) {
-        nv_out[rows] = nc;
-        ne_out[rows] = ne_all;
-        dmax_out[rows] = dmax_all;
-        aux_out[rows++] = 0;
-    }
-    int64_t qh = 0, qt = 0;
-    for (int64_t i = 0; i < nc; i++)
-        if (cd[cand[i]] <= r)
-            queue[qt++] = cand[i];
-    while (qh < qt) {
-        int64_t end = qt, ne = 0, dmax = 0, tp = 0;
-        for (int64_t i = qh; i < end; i++)
-            mark[queue[i]] = 2;
-        for (int64_t i = qh; i < end; i++) {
-            int64_t v = queue[i], lo = indptr[v], hi = indptr[v + 1];
-            ne += hi - lo;
-            if (hi - lo > dmax)
-                dmax = hi - lo;
-            for (int64_t p = lo; p < hi; p++) {
-                int64_t u = indices[p];
-                if (mark[u] == 1) {
-                    mark[u] = 3;
-                    contention_out[cp + tp] = cd[u];
-                    touched[tp++] = u;
-                }
-                if (mark[u] == 3 && cd[u]-- == r + 1)
-                    queue[qt++] = u;
+#define ROW(t, a, b, c, d) \
+    (tag_out[rows] = (t), nv_out[rows] = (a), ne_out[rows] = (b), \
+     dmax_out[rows] = (c), seg_out[rows++] = (d))
+    int64_t rows = 0, cp = 0, nr = 0, seen = 0, arcs = indptr[n];
+    int64_t li = start;
+    for (; li < n_levels; li++) {
+        if (rows + 3 * n > row_cap || nr + n > riser_cap
+            || cp + arcs > seg_cap)
+            break;
+        int64_t r = levels[li], nc = 0, head = 0, ne_all = 0, dmax_all = 0;
+        for (int64_t i = 0; i < n_roots; i++) {
+            int64_t v = roots[i];
+            if (coreness[v] == r && !mark[v]) {
+                mark[v] = 1;
+                cand[nc++] = v;
             }
         }
-        for (int64_t i = 0; i < tp; i++) {
-            contention_out[cp + i] -= cd[touched[i]];
-            mark[touched[i]] = 1;
+        if (!nc)
+            continue;
+        while (head < nc) {
+            int64_t end = nc, ne = 0, dmax = 0;
+            for (int64_t i = head; i < end; i++) {
+                int64_t v = cand[i], lo = indptr[v], hi = indptr[v + 1];
+                int64_t c = 0;
+                ne += hi - lo;
+                if (hi - lo > dmax)
+                    dmax = hi - lo;
+                for (int64_t p = lo; p < hi; p++) {
+                    int64_t u = indices[p], k = coreness[u];
+                    c += k >= r;
+                    if (k == r && !mark[u]) {
+                        mark[u] = 1;
+                        cand[nc++] = u;
+                    }
+                }
+                cd[v] = c;
+            }
+            ROW(0, end - head, ne, dmax, 0);
+            if (nc > end)
+                ROW(1, nc - end, 0, 0, 0);
+            ne_all += ne;
+            if (dmax > dmax_all)
+                dmax_all = dmax;
+            head = end;
         }
-        nv_out[rows] = end - qh;
-        ne_out[rows] = ne;
-        dmax_out[rows] = dmax;
-        aux_out[rows++] = tp;
-        cp += tp;
-        qh = end;
+        ROW(2, nc, ne_all, dmax_all, 0);
+        int64_t qh = 0, qt = 0;
+        for (int64_t i = 0; i < nc; i++)
+            if (cd[cand[i]] <= r)
+                queue[qt++] = cand[i];
+        while (qh < qt) {
+            int64_t end = qt, ne = 0, dmax = 0, tp = 0;
+            for (int64_t i = qh; i < end; i++)
+                mark[queue[i]] = 2;
+            for (int64_t i = qh; i < end; i++) {
+                int64_t v = queue[i], lo = indptr[v], hi = indptr[v + 1];
+                ne += hi - lo;
+                if (hi - lo > dmax)
+                    dmax = hi - lo;
+                for (int64_t p = lo; p < hi; p++) {
+                    int64_t u = indices[p];
+                    if (mark[u] == 1) {
+                        mark[u] = 3;
+                        contention_out[cp + tp] = cd[u];
+                        touched[tp++] = u;
+                    }
+                    if (mark[u] == 3 && cd[u]-- == r + 1)
+                        queue[qt++] = u;
+                }
+            }
+            for (int64_t i = 0; i < tp; i++) {
+                contention_out[cp + i] -= cd[touched[i]];
+                mark[touched[i]] = 1;
+            }
+            ROW(3, end - qh, ne, dmax, tp);
+            cp += tp;
+            qh = end;
+        }
+        int64_t ns = 0;
+        for (int64_t i = 0; i < nc; i++) {
+            int64_t v = cand[i];
+            if (mark[v] == 1) {
+                coreness[v] = r + 1;
+                risers_out[nr + ns++] = v;
+            }
+            mark[v] = 0;
+        }
+        if (ns)
+            ROW(4, ns, 0, 0, 0);
+        nr += ns;
+        seen += nc;
     }
-    int64_t ns = 0;
-    for (int64_t i = 0; i < nc; i++) {
-        int64_t v = cand[i];
-        if (mark[v] == 1)
-            cand[ns++] = v;
-        mark[v] = 0;
-    }
-    counters[0] = nc;
-    counters[1] = bfs_rows;
-    counters[2] = rows - bfs_rows - (nc > 0);
-    counters[3] = ns;
-    counters[4] = cp;
+#undef ROW
+    counters[0] = li;
+    counters[1] = rows;
+    counters[2] = cp;
+    counters[3] = nr;
+    counters[4] = seen;
 }
 
 /* The full-array frontier scan of the scan-based baselines: pack every
@@ -466,11 +490,11 @@ PKC_COST_COUNTERS = {
     "ne": ["edge_op", "atomic_op"],
 }
 
-#: Same cross-check for the insertion-level kernel: its per-row counter
+#: Same cross-check for the insertion-round kernel: its per-row counter
 #: outputs mapped to the cost-model fields each is priced with in
-#: :func:`repro.perf.kernels.insertion_level_native` (one task per
+#: :func:`repro.perf.kernels.insertion_round_native` (one task per
 #: frontier vertex, ``vertex_op + edge_op * degree``).
-LEVEL_COST_COUNTERS = {
+ROUND_COST_COUNTERS = {
     "nv": "vertex_op",
     "ne": "edge_op",
 }
@@ -550,7 +574,7 @@ def _load() -> ctypes.CDLL | None:
         hind = lib.hindex_round
         dirty = lib.mark_dirty
         recount = lib.recount_alive
-        level = lib.insertion_level
+        round_ = lib.insertion_round
     except (OSError, AttributeError):
         _available = False
         return None
@@ -582,10 +606,10 @@ def _load() -> ctypes.CDLL | None:
     recount.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_int64] * 2 + [
         ctypes.c_void_p
     ] * 1
-    level.restype = None
-    level.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_int64] * 2 + [
+    round_.restype = None
+    round_.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_int64] * 7 + [
         ctypes.c_void_p
-    ] * 11
+    ] * 13
     _lib = lib
     _available = True
     return _lib
@@ -622,9 +646,12 @@ def _check_array(
 
 
 def _check_ids(name: str, ids: np.ndarray, n: int) -> np.ndarray:
-    """``ids`` as contiguous int64, after checking they lie in ``[0, n)``."""
+    """``ids`` as contiguous int64, after checking they lie in ``[0, n)``.
+
+    One reduction: read as unsigned, a negative id exceeds every ``n``.
+    """
     ids = np.ascontiguousarray(ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
+    if ids.size and ids.view(np.uint64).max() >= n:
         raise IndexError(f"{name} vertex out of range [0, {n})")
     return ids
 
@@ -653,12 +680,14 @@ def run_task_loop(
     the kernel accumulated into the scratch count buffer (the caller
     reads and re-zeros them).  The flat buffers come from the run's
     :class:`repro.perf.kernels.KernelScratch` arena: the returned
-    streams are views valid until the next kernel call on it.
+    streams are views valid until the next kernel call on it.  C reads
+    the row of every ``frontier`` id, so the ids are checked first, in
+    ``O(|frontier|)``.
     """
     lib = _load()
     if lib is None:  # pragma: no cover - callers check available() first
         raise RuntimeError("native kernel unavailable")
-    frontier = np.ascontiguousarray(frontier, dtype=np.int64)
+    frontier = _check_ids("frontier", frontier, int(graph.n))
     n_tasks = int(frontier.size)
     # Stream capacities: every queue item is expanded at most once and the
     # item sets of distinct tasks are disjoint, so the encounter stream is
@@ -726,12 +755,13 @@ def run_pkc_round(
     reference drain, accumulates per-target decrement counts into the
     caller's all-zero ``counts`` scratch (caller re-zeros its marks) and
     returns ``(nv, ne, marks, claimed)`` with per-thread item / edge
-    counters and the first-touch list as a view into ``touched``.
+    counters and the first-touch list as a view into ``touched``.  The
+    ``frontier`` ids are checked first, in ``O(|frontier|)``.
     """
     lib = _load()
     if lib is None:  # pragma: no cover - callers check available() first
         raise RuntimeError("native kernel unavailable")
-    frontier = np.ascontiguousarray(frontier, dtype=np.int64)
+    frontier = _check_ids("frontier", frontier, int(graph.n))
     nv = np.empty(p, dtype=np.int64)
     ne = np.empty(p, dtype=np.int64)
     counters = np.zeros(2, dtype=np.int64)
@@ -770,12 +800,13 @@ def run_scan_peel(
     Accumulates per-target occurrence counts into the caller's all-zero
     ``counts`` scratch (caller re-zeros its marks), applies the batched
     decrements to ``dtilde`` and returns the first-touch list as a view
-    into ``touched`` (unsorted).
+    into ``touched`` (unsorted).  The ``frontier`` ids are checked
+    first, in ``O(|frontier|)``.
     """
     lib = _load()
     if lib is None:  # pragma: no cover - callers check available() first
         raise RuntimeError("native kernel unavailable")
-    frontier = np.ascontiguousarray(frontier, dtype=np.int64)
+    frontier = _check_ids("frontier", frontier, int(graph.n))
     counters = np.zeros(1, dtype=np.int64)
     sp = scratch.ptr
     lib.scan_peel(
@@ -798,16 +829,27 @@ def run_scan_frontier(
     out: np.ndarray,
     scratch,
 ) -> np.ndarray:
-    """Pack the unpeeled vertices with ``dtilde <= k`` (ascending)."""
+    """Pack the unpeeled vertices with ``dtilde <= k`` (ascending).
+
+    C reads ``dtilde`` and ``peeled`` over ``dtilde``'s length and may
+    write that many ids to ``out``, so the layouts and ``out``'s
+    capacity are checked first, in ``O(1)``.
+    """
     lib = _load()
     if lib is None:  # pragma: no cover - callers check available() first
         raise RuntimeError("native kernel unavailable")
+    _check_array("dtilde", dtilde, np.int64)
+    n = int(dtilde.size)
+    _check_array("peeled", peeled, np.bool_, n)
+    _check_array("out", out, np.int64)
+    if out.size < n:
+        raise ValueError(f"out holds {out.size} < {n} vertices")
     counters = np.zeros(1, dtype=np.int64)
     sp = scratch.ptr
     lib.scan_frontier(
         sp(dtilde),
         sp(scratch.u8(peeled)),
-        int(dtilde.size),
+        n,
         int(k),
         sp(out),
         _ptr(counters),
@@ -924,68 +966,98 @@ def run_mark_dirty(
     )
 
 
-def run_insertion_level(
+def run_insertion_round(
     graph,
     coreness: np.ndarray,
     roots: np.ndarray,
-    r: int,
+    levels: np.ndarray,
+    start: int,
     scratch,
-) -> tuple[np.ndarray, tuple[np.ndarray, ...], int, np.ndarray]:
-    """One insertion level (subcore BFS, cd init, peel) in C.
+) -> tuple[int, np.ndarray, int, tuple[np.ndarray, ...], np.ndarray]:
+    """The levels of one insertion round from ``levels[start]`` in C.
 
-    ``scratch`` is the service's :class:`repro.perf.kernels.LevelScratch`,
-    reserved for the graph's arc count.  Returns ``(survivors, rows,
-    bfs_rows, contention)``: the candidates that survive the peel at
-    ``r`` (unsorted; empty with no candidates), the per-row counter
-    columns ``(nv, ne, dmax, aux)`` (BFS rows, the cd-init row, then the
-    peel rows; none when the level has no candidates), the number of BFS
-    rows and the concatenated contention segments of the peel rows.  The
-    returned arrays are views into ``scratch``, valid until its next
-    call.  C indexes ``coreness`` and the marks by vertex and writes at
-    most one contention entry per arc, so the roots' range, both layouts
-    and the buffer's capacity are checked first, in ``O(|roots|)``.
+    Each level (subcore BFS, cd init, peel, relabel) starts from the
+    ``roots`` still at its level, and raises its survivors in
+    ``coreness`` before the next one.  ``scratch`` is the service's
+    :class:`repro.perf.kernels.RoundScratch`, reserved for the graph's
+    arc count.  Returns ``(next_start, risers, candidates, rows,
+    contention)``: the first level not run (``levels.size`` once the
+    round is done; the kernel stops before a level the scratch might
+    not hold), the survivors of the levels that ran (unsorted, a vertex
+    once per level it rose at), their total candidate count, the
+    per-row columns ``(tag, nv, ne, dmax, seg)`` in ledger order and the
+    concatenated contention segments of the peel rows.  The returned
+    arrays are views into ``scratch``, valid until its next call.  C
+    indexes ``coreness``, the marks and the per-vertex buffers by
+    vertex and writes up to a level's worst case into the row, riser
+    and contention buffers, so the ids, the levels, every layout and
+    the capacities are checked first, in ``O(|roots| + |levels|)``.
     """
     lib = _load()
     if lib is None:  # pragma: no cover - callers check available() first
         raise RuntimeError("native kernel unavailable")
     n = int(graph.n)
+    arcs = int(graph.indices.size)
     roots = _check_ids("roots", roots, n)
+    _check_array("levels", levels, np.int64)
+    if np.any(levels[1:] <= levels[:-1]):
+        raise ValueError("levels must be strictly increasing")
+    if not 0 <= start <= levels.size:
+        raise IndexError(f"start {start} outside [0, {levels.size}]")
     _check_array("coreness", coreness, np.int64, n)
     _check_array("marks", scratch.marks, np.uint8, n)
+    for name in ("cd", "cand", "queue", "touched"):
+        _check_array(name, getattr(scratch, name), np.int64, n)
+    _check_array("risers", scratch.risers, np.int64)
+    rows = scratch.rows
+    for column in rows:
+        _check_array("rows", column, np.int64, rows[0].size)
     contention = scratch.contention
     _check_array("contention", contention, np.int64)
-    if contention.size < graph.indices.size:
-        raise ValueError(
-            f"contention holds {contention.size} < "
-            f"{graph.indices.size} arcs"
-        )
+    for name, size, need in (
+        ("rows", rows[0].size, 3 * n),
+        ("risers", scratch.risers.size, n),
+        ("contention", contention.size, arcs),
+    ):
+        if size < need:
+            raise ValueError(
+                f"{name} holds {size} < {need}, one level's worst case"
+            )
     counters = np.zeros(5, dtype=np.int64)
     sp = scratch.ptr
-    nv, ne, dmax, aux = scratch.rows
-    lib.insertion_level(
+    tag, nv, ne, dmax, seg = rows
+    lib.insertion_round(
         _ptr(graph.indptr),
         _ptr(graph.indices),
         _ptr(coreness),
         _ptr(roots),
+        _ptr(levels),
         int(roots.size),
-        int(r),
+        int(levels.size),
+        int(start),
+        n,
+        int(tag.size),
+        int(scratch.risers.size),
+        int(contention.size),
         sp(scratch.marks),
         sp(scratch.cd),
         sp(scratch.cand),
         sp(scratch.queue),
         sp(scratch.touched),
+        sp(scratch.risers),
+        sp(tag),
         sp(nv),
         sp(ne),
         sp(dmax),
-        sp(aux),
+        sp(seg),
         _ptr(contention),
         _ptr(counters),
     )
-    nc, bfs_rows, peel_rows, ns, cp = (int(x) for x in counters)
-    rows = bfs_rows + peel_rows + (nc > 0)
+    done, used, cp, nr, seen = (int(x) for x in counters)
     return (
-        scratch.cand[:ns],
-        (nv[:rows], ne[:rows], dmax[:rows], aux[:rows]),
-        bfs_rows,
+        done,
+        scratch.risers[:nr],
+        seen,
+        tuple(column[:used] for column in rows),
         contention[:cp],
     )

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core.batch_dynamic import BatchDynamicKCore, BatchResult
 from repro.core.verify import reference_coreness
+from repro.errors import InvalidGraphError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.transform import all_edges
 from repro.obs import MetricsRegistry, observing
@@ -189,6 +190,72 @@ def test_out_of_range_rejected(triangle):
         engine.apply_batch(deletions=[(-1, 0)])
 
 
+def test_non_integer_endpoints_rejected(triangle):
+    """A float or bool endpoint is an error, not a truncated vertex."""
+    engine = BatchDynamicKCore(triangle)
+    with pytest.raises(TypeError, match="integers"):
+        engine.apply_batch(insertions=[(0.5, 2.9)])
+    with pytest.raises(TypeError, match="integers"):
+        engine.apply_batch(deletions=np.array([[0.0, 1.0]]))
+    with pytest.raises(TypeError, match="integers"):
+        engine.apply_batch(insertions=np.array([[True, False]]))
+    assert engine.epoch == 0
+    # Empty batches keep working whatever their dtype.
+    engine.apply_batch(insertions=np.asarray([]), deletions=[])
+    engine.apply_batch(deletions=np.zeros((0, 2)))
+    result = engine.apply_batch(deletions=np.array([[0, 1]], np.uint8))
+    assert result.applied_deletions == 1 and engine.epoch == 3
+    assert_exact(engine)
+
+
+def _reversed_rows(graph):
+    indices = np.concatenate([
+        graph.indices[graph.indptr[v]:graph.indptr[v + 1]][::-1]
+        for v in range(graph.n)
+    ])
+    return CSRGraph(graph.indptr, indices, validate=False)
+
+
+#: Malformed CSR inputs: (builder from a triangle, message fragment).
+MALFORMED = {
+    "reversed-rows": (_reversed_rows, "sorted"),
+    "repeated-arc": (
+        lambda g: CSRGraph([0, 2, 3, 4], [1, 1, 0, 0], validate=False),
+        "repeated",
+    ),
+    "asymmetric": (
+        lambda g: CSRGraph([0, 2, 3, 4], [1, 2, 0, 1], validate=False),
+        "symmetric",
+    ),
+    "self-loop": (
+        lambda g: CSRGraph([0, 1, 3, 4], [1, 0, 1, 1], validate=False),
+        "self-loop",
+    ),
+    "out-of-range": (
+        lambda g: CSRGraph([0, 1, 2, 2], [1, 3], validate=False),
+        "out of range",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_csr_rejected(triangle, case):
+    build, fragment = MALFORMED[case]
+    with pytest.raises(InvalidGraphError, match=fragment):
+        BatchDynamicKCore(build(triangle))
+
+
+def test_deletion_checks_the_reverse_arc(triangle):
+    """A key array that lost a reverse arc fails the splice, not silently."""
+    engine = BatchDynamicKCore(triangle)
+    n = triangle.n
+    engine._keys = engine._keys[engine._keys != 1 * n + 0]
+    with pytest.raises(InvalidGraphError, match="reverse"):
+        engine.apply_batch(deletions=[(0, 1)])
+    assert engine.epoch == 0
+    assert engine.snapshot() is triangle
+
+
 def test_noop_updates_counted(triangle):
     engine = BatchDynamicKCore(triangle)
     result = engine.apply_batch(
@@ -286,19 +353,24 @@ needs_native = pytest.mark.skipif(
 )
 
 
-def _replay(mode, graph, batches):
+def _replay(mode, graph, batches, scratch_levels=None):
     """Everything a replay under ``mode`` shows, batch by batch.
 
     Per batch: the coreness, the ``BatchResult`` fields, the touched
     vertices, the ledger steps it appended ``(work, span, barriers,
     tag)`` and ``to_stable_dict``; then the observed registry's
     snapshot and its tracer's step events and spans.
+    ``scratch_levels`` sizes the native round scratch in worst-case
+    levels (the default when ``None``).
     """
+    from repro.perf.kernels import RoundScratch
     from repro.trace import Tracer
 
     registry = MetricsRegistry("modes", tracer=Tracer())
     with mock.patch.dict(os.environ, {KERNELS_ENV: mode}):
         engine = BatchDynamicKCore(graph, registry=registry)
+        if scratch_levels is not None:
+            engine._scratch = RoundScratch(graph.n, levels=scratch_levels)
         per_batch = []
         for ins, dels in batches:
             start = len(engine.metrics.steps)
@@ -326,9 +398,9 @@ def _replay(mode, graph, batches):
     )
 
 
-def assert_modes_agree(graph, batches, mode=NATIVE):
+def assert_modes_agree(graph, batches, mode=NATIVE, scratch_levels=None):
     """``mode`` and ``reference`` replays agree in every observable."""
-    got = _replay(mode, graph, batches)
+    got = _replay(mode, graph, batches, scratch_levels)
     want = _replay(REFERENCE, graph, batches)
     for index, (batch_got, batch_want) in enumerate(zip(got[0], want[0])):
         assert batch_got == batch_want, (mode, index)
@@ -343,7 +415,7 @@ def test_kernel_modes_bit_exact(small_er, mode):
     assert_modes_agree(small_er, batches, mode)
 
 
-#: Single-batch cases for the native insertion level's corner cases:
+#: Single-batch cases for the native insertion round's corner cases:
 #: (graph edges, n, insertions, the case the reference steps must show).
 LEVEL_CASES = {
     # The level-0 BFS from vertex 3 meets only vertex 0 (level 2).
@@ -356,6 +428,10 @@ LEVEL_CASES = {
     # seeds a second round that peels level 1 the same way.
     "empty-segment": ([(0, 1), (1, 2)], 4, [(2, 3)], "empty-peel"),
     "edgeless": ([], 6, [(0, 1), (1, 2), (2, 0), (3, 4)], "raised"),
+    # Vertex 2 rises to 1 at level 0, is a root of level 1 in the same
+    # round and rises again with 0 and 1: the triangle is a 2-core
+    # after one round; the second round peels level 2 and raises none.
+    "raised-twice": ([(0, 1)], 3, [(2, 0), (2, 1)], "two-levels"),
 }
 
 
@@ -376,15 +452,40 @@ def test_native_level_corner_cases(case):
         peels = [event for event in events if event.tag == "dyn_peel"]
         assert [event.atomics for event in peels] == [2, 0, 2, 0]
         assert per_batch[0][0] == [1, 1, 1, 1]
+    elif shows == "two-levels":
+        assert per_batch[0][0] == [2, 2, 2]
+        level = ["dyn_subcore", "dyn_cd_init", "dyn_relabel"]
+        assert tags == ["dyn_rebuild"] + level + level + [
+            "dyn_subcore", "dyn_cd_init", "dyn_peel",
+        ]
+        # Level 1's BFS starts from all three vertices, 2 included.
+        subcores = [event for event in events if event.tag == "dyn_subcore"]
+        assert [event.work for event in subcores] == [
+            DEFAULT_COST_MODEL.vertex_op * size
+            + DEFAULT_COST_MODEL.edge_op * degrees
+            for size, degrees in ((1, 2), (3, 6), (3, 6))
+        ]
     else:
         assert per_batch[0][0] == [2, 2, 2, 1, 1, 0]
 
 
 #: One rejected input each: (argument, bad value from (graph, coreness),
-#: error).  ``marks`` and ``contention`` live in the scratch.
+#: error).  ``marks``, the per-vertex buffers, ``risers``, ``rows`` and
+#: ``contention`` live in the scratch.
 BAD_LEVEL = {
     "roots-above-n": ("roots", lambda g, core: np.array([g.n]), IndexError),
     "roots-negative": ("roots", lambda g, core: np.array([-1]), IndexError),
+    "levels-unsorted": (
+        "levels", lambda g, core: np.array([2, 1]), ValueError
+    ),
+    "levels-repeated": (
+        "levels", lambda g, core: np.array([1, 1]), ValueError
+    ),
+    "levels-int32": (
+        "levels", lambda g, core: np.array([1], np.int32), ValueError
+    ),
+    "start-past-end": ("start", lambda g, core: 5, IndexError),
+    "start-negative": ("start", lambda g, core: -1, IndexError),
     "coreness-int32": (
         "coreness", lambda g, core: core.astype(np.int32), ValueError
     ),
@@ -398,6 +499,27 @@ BAD_LEVEL = {
     "marks-short": (
         "marks", lambda g, core: np.zeros(g.n - 1, np.uint8), ValueError
     ),
+    "cd-short": (
+        "cd", lambda g, core: np.empty(g.n - 1, np.int64), ValueError
+    ),
+    "queue-int32": (
+        "queue", lambda g, core: np.empty(g.n, np.int32), ValueError
+    ),
+    "risers-too-small": (
+        "risers", lambda g, core: np.empty(g.n - 1, np.int64), ValueError
+    ),
+    "rows-too-small": (
+        "rows",
+        lambda g, core: tuple(np.empty(3 * g.n - 1, np.int64)
+                              for _ in range(5)),
+        ValueError,
+    ),
+    "rows-ragged": (
+        "rows",
+        lambda g, core: tuple(np.empty(3 * g.n + k, np.int64)
+                              for k in range(5)),
+        ValueError,
+    ),
     "contention-too-small": (
         "contention",
         lambda g, core: np.empty(g.indices.size - 1, np.int64),
@@ -409,23 +531,49 @@ BAD_LEVEL = {
 @needs_native
 @pytest.mark.parametrize("case", sorted(BAD_LEVEL))
 def test_insertion_level_rejects_bad_input(small_er, case):
-    from repro.perf.kernels import LevelScratch
-    from repro.perf.native import run_insertion_level
+    from repro.perf.kernels import RoundScratch
+    from repro.perf.native import run_insertion_round
 
     coreness = reference_coreness(small_er).copy()
-    scratch = LevelScratch(small_er.n)
+    scratch = RoundScratch(small_er.n)
     scratch.reserve(small_er.indices.size)
-    args = {"roots": np.array([0, 5]), "coreness": coreness}
-    run_insertion_level(small_er, r=int(coreness[0]), scratch=scratch,
-                        **args)  # well-formed: accepted
+    roots = np.array([0, 5])
+    args = {
+        "roots": roots,
+        "coreness": coreness,
+        "levels": np.unique(coreness[roots]),
+        "start": 0,
+    }
+    run_insertion_round(small_er, scratch=scratch, **args)  # accepted
     name, bad, error = BAD_LEVEL[case]
     if name in args:
         args[name] = bad(small_er, coreness)
     else:
         setattr(scratch, name, bad(small_er, coreness))
+    before = coreness.copy()
     with pytest.raises(error, match=name):
-        run_insertion_level(small_er, r=int(coreness[0]), scratch=scratch,
-                            **args)
+        run_insertion_round(small_er, scratch=scratch, **args)
+    assert np.array_equal(coreness, before)
+
+
+def _multi_level_batches(data, n, pair, max_batches=4):
+    """Batches whose insertions tend to meet several coreness levels.
+
+    A clique on a drawn vertex set is inserted beside random edges, so
+    its endpoints start a round at several levels and can rise twice.
+    """
+    batches = []
+    for index in range(data.draw(st.integers(1, max_batches),
+                                 label="batches")):
+        clique = data.draw(
+            st.lists(st.integers(0, n - 1), unique=True, max_size=6),
+            label=f"clique{index}",
+        )
+        ins = [(u, v) for i, u in enumerate(clique) for v in clique[i + 1:]]
+        ins += data.draw(st.lists(pair, max_size=12), label=f"ins{index}")
+        dels = data.draw(st.lists(pair, max_size=6), label=f"dels{index}")
+        batches.append((ins, dels))
+    return batches
 
 
 @needs_native
@@ -436,6 +584,7 @@ def test_insertion_level_rejects_bad_input(small_er, case):
 )
 @given(data=st.data())
 def test_native_level_matches_reference(data):
+    """Whole native rounds, resumed or not, replay the reference."""
     n = data.draw(st.integers(min_value=2, max_value=20), label="n")
     pair = st.tuples(
         st.integers(0, n - 1), st.integers(0, n - 1)
@@ -443,14 +592,38 @@ def test_native_level_matches_reference(data):
     graph = CSRGraph.from_edges(
         n, data.draw(st.lists(pair, max_size=40), label="initial_edges")
     )
-    batches = [
-        (
-            data.draw(st.lists(pair, max_size=12), label=f"ins{index}"),
-            data.draw(st.lists(pair, max_size=6), label=f"dels{index}"),
-        )
-        for index in range(data.draw(st.integers(1, 4), label="batches"))
-    ]
-    assert_modes_agree(graph, batches)
+    batches = _multi_level_batches(data, n, pair)
+    levels = data.draw(st.sampled_from([None, 1]), label="scratch_levels")
+    assert_modes_agree(graph, batches, scratch_levels=levels)
+
+
+def _count_round_calls(graph, batches, scratch_levels=None):
+    """Native round-kernel calls of a replay, and what the replay shows."""
+    from repro.perf import native
+
+    with mock.patch.object(
+        native, "run_insertion_round", wraps=native.run_insertion_round
+    ) as spy:
+        shown = _replay(NATIVE, graph, batches, scratch_levels)
+    return spy.call_count, shown
+
+
+@needs_native
+def test_round_resumes_after_a_full_scratch(small_er):
+    """A scratch with room for one worst-case level resumes every round.
+
+    The kernel stops before each level after the first non-empty one;
+    the wrapper charges what ran and calls again from there, which
+    must show exactly what one call per round shows.
+    """
+    rng = np.random.default_rng(5)
+    batches = random_batches(small_er, rng, batches=6, batch_size=16)
+    batches.append(([(2, 0), (2, 1)], []))
+    calls, shown = _count_round_calls(small_er, batches)
+    resumed, shown_resumed = _count_round_calls(small_er, batches, 1)
+    assert resumed > calls
+    assert shown_resumed == shown
+    assert shown == _replay(REFERENCE, small_er, batches)
 
 
 def test_native_unavailable_falls_back(monkeypatch):
@@ -531,3 +704,56 @@ def test_hypothesis_batches_match_recompute(data):
         result = engine.apply_batch(insertions=ins, deletions=dels)
         assert_exact(engine, index)
         assert_diff(result, before, engine.coreness)
+
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_snapshot_tracks_the_edge_set(data):
+    """The spliced CSR is the CSR of the edge set, epoch after epoch.
+
+    After every batch, in every kernel mode, :meth:`snapshot` equals
+    ``CSRGraph.from_edges`` of a separately tracked edge set, and every
+    snapshot held from an earlier epoch still holds its arrays: the
+    splice copies and never writes into a committed CSR.
+    """
+    n = data.draw(st.integers(min_value=2, max_value=24), label="n")
+    pair = st.tuples(
+        st.integers(0, n - 1), st.integers(0, n - 1)
+    ).filter(lambda uv: uv[0] != uv[1])
+    initial = data.draw(st.lists(pair, max_size=40), label="initial_edges")
+    batches = [
+        (
+            data.draw(st.lists(pair, max_size=10), label=f"ins{index}"),
+            data.draw(st.lists(pair, max_size=10), label=f"dels{index}"),
+        )
+        for index in range(data.draw(st.integers(1, 5), label="batches"))
+    ]
+
+    def canonical(pairs):
+        return {(min(u, v), max(u, v)) for u, v in pairs}
+
+    for mode in ALL_MODES:
+        with mock.patch.dict(os.environ, {KERNELS_ENV: mode}):
+            graph = CSRGraph.from_edges(n, initial)
+            engine = BatchDynamicKCore(graph)
+            edges = canonical(initial)
+            held = [(graph, graph.indptr.copy(), graph.indices.copy())]
+            for index, (ins, dels) in enumerate(batches):
+                engine.apply_batch(insertions=ins, deletions=dels)
+                edges = (edges - canonical(dels)) | canonical(ins)
+                want = CSRGraph.from_edges(n, sorted(edges))
+                got = engine.snapshot()
+                assert np.array_equal(got.indptr, want.indptr), (mode, index)
+                assert np.array_equal(got.indices, want.indices), (
+                    mode, index,
+                )
+                assert_exact(engine, (mode, index))
+                held.append((got, got.indptr.copy(), got.indices.copy()))
+            for snap, indptr, indices in held:
+                assert np.array_equal(snap.indptr, indptr), mode
+                assert np.array_equal(snap.indices, indices), mode

@@ -561,9 +561,9 @@ def run(lib, indptr, dtilde, n_tasks, k, nv, scratch=None):
 '''
 
 
-LEVEL_NATIVE = '''
+ROUND_NATIVE = '''
 _SOURCE = r"""
-void insertion_level(
+void insertion_round(
     const long *indptr,
     long n_roots,
     long *nv_out,
@@ -576,7 +576,7 @@ void insertion_level(
 }
 """
 
-LEVEL_COST_COUNTERS = {"nv": "vertex_op", "ne": "edge_op"}
+ROUND_COST_COUNTERS = {"nv": "vertex_op", "ne": "edge_op"}
 
 import ctypes
 import numpy as np
@@ -584,14 +584,14 @@ import numpy as np
 def _ptr(a):
     return a
 
-def run_level(lib, indptr, n_roots, scratch):
-    level = lib.insertion_level
-    level.argtypes = [ctypes.c_void_p] * 1 + [ctypes.c_int64] * 1 + [
+def run_round(lib, indptr, n_roots, scratch):
+    round_ = lib.insertion_round
+    round_.argtypes = [ctypes.c_void_p] * 1 + [ctypes.c_int64] * 1 + [
         ctypes.c_void_p
     ] * 3
     counters = np.zeros(3, dtype=np.int64)
     sp = scratch.ptr
-    lib.insertion_level(
+    lib.insertion_round(
         _ptr(indptr), n_roots, sp(scratch.nv), sp(scratch.ne),
         _ptr(counters)
     )
@@ -704,10 +704,10 @@ class TestR007NativeParity:
         write_tree(
             tmp_path,
             {
-                "src/repro/perf/native.py": LEVEL_NATIVE,
+                "src/repro/perf/native.py": ROUND_NATIVE,
                 "src/repro/runtime/cost_model.py": GOOD_COST_MODEL,
                 "src/repro/perf/kernels.py": """
-                def insertion_level_native(model, nv, ne):
+                def insertion_round_native(model, nv, ne):
                     task_costs = model.vertex_op * nv + model.edge_op * ne
                     return task_costs
                 """,
@@ -728,8 +728,8 @@ class TestR007NativeParity:
         ],
     )
     def test_level_kernel_drift_fails(self, tmp_path, old, new, message):
-        assert old in LEVEL_NATIVE
-        findings = self._lint(tmp_path, LEVEL_NATIVE.replace(old, new))
+        assert old in ROUND_NATIVE
+        findings = self._lint(tmp_path, ROUND_NATIVE.replace(old, new))
         assert any(message in f.message for f in findings), [
             f.message for f in findings
         ]
@@ -738,17 +738,17 @@ class TestR007NativeParity:
         write_tree(
             tmp_path,
             {
-                "src/repro/perf/native.py": LEVEL_NATIVE,
+                "src/repro/perf/native.py": ROUND_NATIVE,
                 "src/repro/runtime/cost_model.py": GOOD_COST_MODEL,
                 "src/repro/perf/kernels.py": """
-                def insertion_level_native(model, nv, ne):
+                def insertion_round_native(model, nv, ne):
                     task_costs = model.vertex_op * nv
                     return task_costs
                 """,
             },
         )
         findings = run_lint([tmp_path / "src"], select=["R007"]).findings
-        assert any("LEVEL_COST_COUNTERS" in f.message for f in findings)
+        assert any("ROUND_COST_COUNTERS" in f.message for f in findings)
 
     def test_pkc_closed_form_drift_fails(self, tmp_path):
         write_tree(

@@ -202,3 +202,89 @@ def test_recount_alive_rejects_bad_input(monkeypatch, mode):
         )
     with pytest.raises(ValueError, match="coreness"):
         recount_alive(graph, peeled, np.array([0]), coreness[::2], 1)
+
+
+def _flat_kernel_call(kernel: str, graph, **bad):
+    """Call a flat native kernel wrapper on well-formed inputs, except
+    for the ``bad`` overrides; returns the ``dtilde`` it may mutate."""
+    from repro.perf import native
+    from repro.perf.kernels import KernelScratch
+
+    n = graph.n
+    scratch = KernelScratch(graph)
+    args = {
+        "dtilde": graph.degrees.copy(),
+        "peeled": np.zeros(n, dtype=bool),
+        "frontier": np.array([0, 1], dtype=np.int64),
+        "out": scratch.touched_buf(),
+    }
+    args.update(bad)
+    if kernel == "task_loop":
+        native.run_task_loop(
+            graph, args["dtilde"], args["peeled"], np.zeros(n, np.int64),
+            None, args["frontier"], 0, 4, 64, scratch,
+        )
+    elif kernel == "pkc_round":
+        native.run_pkc_round(
+            graph, args["dtilde"], args["peeled"], np.zeros(n, np.int64),
+            args["frontier"], 0, 2, scratch.queue_buf(n),
+            scratch.count_buf(), scratch.touched_buf(), scratch,
+        )
+    elif kernel == "scan_peel":
+        native.run_scan_peel(
+            graph, args["dtilde"], args["frontier"], scratch.count_buf(),
+            scratch.touched_buf(), scratch,
+        )
+    else:
+        native.run_scan_frontier(
+            args["dtilde"], args["peeled"], 1, args["out"], scratch
+        )
+    return args["dtilde"]
+
+
+#: One rejected input each: (kernel, argument, bad value from n, error).
+BAD_FLAT = {
+    f"{kernel}-frontier-{what}": (kernel, "frontier", value, IndexError)
+    for kernel in ("task_loop", "pkc_round", "scan_peel")
+    for what, value in (
+        ("above-n", lambda n: np.array([0, n])),
+        ("negative", lambda n: np.array([-1, 0])),
+    )
+}
+BAD_FLAT.update({
+    "scan_frontier-dtilde-int32": (
+        "scan_frontier", "dtilde", lambda n: np.zeros(n, np.int32),
+        ValueError,
+    ),
+    "scan_frontier-dtilde-strided": (
+        "scan_frontier", "dtilde", lambda n: np.zeros(2 * n, np.int64)[::2],
+        ValueError,
+    ),
+    "scan_frontier-peeled-short": (
+        "scan_frontier", "peeled", lambda n: np.zeros(n - 1, bool),
+        ValueError,
+    ),
+    "scan_frontier-peeled-uint8": (
+        "scan_frontier", "peeled", lambda n: np.zeros(n, np.uint8),
+        ValueError,
+    ),
+    "scan_frontier-out-too-small": (
+        "scan_frontier", "out", lambda n: np.empty(n - 1, np.int64),
+        ValueError,
+    ),
+})
+
+
+@pytest.mark.skipif(not native_available(), reason="no C compiler")
+@pytest.mark.parametrize("case", sorted(BAD_FLAT))
+def test_flat_kernels_reject_bad_input(case):
+    """Frontier ids and array layouts are checked before C reads them."""
+    kernel, name, bad, error = BAD_FLAT[case]
+    graph = erdos_renyi(40, 4.0, seed=1)
+    _flat_kernel_call(kernel, graph)  # well-formed: accepted
+    dtilde = graph.degrees.copy()
+    overrides = {name: bad(graph.n)}
+    overrides.setdefault("dtilde", dtilde)
+    with pytest.raises(error, match=name):
+        _flat_kernel_call(kernel, graph, **overrides)
+    assert np.array_equal(dtilde, graph.degrees)
