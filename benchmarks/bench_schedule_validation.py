@@ -15,6 +15,8 @@ from repro.analysis import render_table
 from repro.core.peel_online import OnlinePeel
 from repro.core.state import PeelState
 from repro.generators import suite
+from repro.perf import kernel_mode
+from repro.perf.kernels import KernelScratch
 from repro.runtime.cost_model import nanos_to_millis
 from repro.runtime.list_schedule import scheduled_time_on
 from repro.runtime.simulator import SimRuntime
@@ -35,6 +37,7 @@ def run_with_tasks(name: str):
     state = PeelState(
         graph=graph, dtilde=dtilde, peeled=peeled, coreness=coreness,
         runtime=runtime, buckets=buckets,
+        scratch=KernelScratch(graph, kernel_mode()),
     )
     while True:
         step = buckets.next_round()

@@ -15,6 +15,8 @@ import numpy as np
 from repro.core.peel_online import OnlinePeel
 from repro.core.state import PeelState
 from repro.generators import hcns
+from repro.perf import kernel_mode
+from repro.perf.kernels import KernelScratch
 from repro.runtime.simulator import SimRuntime
 from repro.structures.hbs import HierarchicalBuckets
 
@@ -43,6 +45,7 @@ def main() -> None:
     state = PeelState(
         graph=graph, dtilde=dtilde, peeled=peeled, coreness=coreness,
         runtime=runtime, buckets=structure,
+        scratch=KernelScratch(graph, kernel_mode()),
     )
 
     print(f"initial layout: {format_layout(structure._intervals)}\n")

@@ -16,6 +16,8 @@ from repro.core.peel_online import OnlinePeel
 from repro.core.state import PeelState
 from repro.core.vgc import VGCConfig
 from repro.graphs.csr import CSRGraph
+from repro.perf import kernel_mode
+from repro.perf.kernels import KernelScratch
 from repro.primitives.bitops import sorted_unique
 from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.runtime.simulator import SimRuntime
@@ -75,7 +77,7 @@ def peeling_profile(
         coreness=coreness,
         runtime=runtime,
         buckets=buckets,
-        sampling=None,
+        scratch=KernelScratch(graph, kernel_mode(runtime.registry)),
     )
 
     wave = np.zeros(n, dtype=np.int64)

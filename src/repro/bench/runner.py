@@ -25,13 +25,7 @@ from repro.bench.wallclock import measure
 from repro.generators import suite
 from repro.obs import MetricsRegistry, observing
 from repro.obs.registry import active_registry
-from repro.perf import (
-    KERNELS_ENV,
-    NATIVE,
-    REFERENCE,
-    kernel_mode,
-    native_available,
-)
+from repro.perf import REFERENCE, kernel_mode, kernel_modes, kernels_env
 from repro.regress.matrix import ENGINES, coreness_fingerprint
 from repro.runtime.cost_model import DEFAULT_COST_MODEL
 from repro.runtime.metrics import METRICS_SCHEMA_VERSION
@@ -133,9 +127,7 @@ def run_cell(
     the payload — and hence the cache entry — is bit-identical either
     way; the trace file itself stays outside the cache.
     """
-    previous = os.environ.get(KERNELS_ENV)
-    os.environ[KERNELS_ENV] = cell.kernels
-    try:
+    with kernels_env(cell.kernels):
         graph = suite.load(cell.graph, size=cell.size)
         if trace_dir is None:
             with measure() as wall:
@@ -153,11 +145,6 @@ def run_cell(
             write_trace(registry, trace_path(cell, trace_dir))
             if outer_registry is not None:
                 outer_registry.merge_counts(registry.counter_values())
-    finally:
-        if previous is None:
-            os.environ.pop(KERNELS_ENV, None)
-        else:
-            os.environ[KERNELS_ENV] = previous
     return {
         "graph": {"n": graph.n, "m": graph.m},
         "coreness": coreness_fingerprint(result.coreness),
@@ -343,7 +330,7 @@ def compare_kernels(
     """
     graphs = list(graphs) if graphs else list(suite.SUITE)
     if modes is None:
-        modes = (REFERENCE,) + ((NATIVE,) if native_available() else ())
+        modes = tuple(kernel_modes())
     totals: dict[str, float] = {}
     per_graph: dict[str, dict[str, float]] = {name: {} for name in graphs}
     for mode in modes:

@@ -28,9 +28,9 @@ import numpy as np
 
 from repro.core.result import CorenessResult
 from repro.graphs.csr import CSRGraph
+from repro.perf import kernel_mode
 from repro.perf.kernels import (
-    FlatPeelState,
-    get_scratch,
+    KernelScratch,
     scan_peel_round,
     threshold_frontier,
 )
@@ -59,11 +59,10 @@ def approximate_coreness(
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     runtime = SimRuntime(model)
+    scratch = KernelScratch(graph, kernel_mode(runtime.registry))
     n = graph.n
     dtilde = graph.degrees.astype(np.int64).copy()
     peeled = np.zeros(n, dtype=bool)
-    state = FlatPeelState(graph, dtilde)
-    scratch = get_scratch(state)
     estimate = np.zeros(n, dtype=np.int64)
     if n:
         runtime.parallel_for(
@@ -79,7 +78,7 @@ def approximate_coreness(
             model.scan_op, count=max(remaining, 1), barriers=1,
             tag="approx_frontier",
         )
-        frontier = threshold_frontier(dtilde, peeled, threshold, scratch)
+        frontier = threshold_frontier(scratch, dtilde, peeled, threshold)
         while frontier.size:
             runtime.begin_subround(int(frontier.size))
             estimate[frontier] = threshold
@@ -90,7 +89,7 @@ def approximate_coreness(
                 + model.edge_op
                 * (graph.indptr[frontier + 1] - graph.indptr[frontier])
             ).astype(np.float64)
-            outcome = scan_peel_round(state, frontier, threshold)
+            outcome = scan_peel_round(scratch, dtilde, frontier, threshold)
             if outcome.touched.size:
                 crossed = outcome.crossed[~peeled[outcome.crossed]]
                 runtime.parallel_update(

@@ -16,7 +16,8 @@ from repro.core.peel_online import OnlinePeel
 from repro.core.result import CorenessResult
 from repro.core.state import PeelState
 from repro.graphs.csr import CSRGraph
-from repro.perf.kernels import get_scratch, threshold_frontier
+from repro.perf import kernel_mode
+from repro.perf.kernels import KernelScratch, threshold_frontier
 from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.runtime.simulator import SimRuntime
 from repro.structures.null_buckets import NullBuckets
@@ -27,6 +28,7 @@ def park_kcore(
 ) -> CorenessResult:
     """Run ParK and return the coreness of every vertex."""
     runtime = SimRuntime(model)
+    scratch = KernelScratch(graph, kernel_mode(runtime.registry))
     n = graph.n
     dtilde = graph.degrees.astype(np.int64).copy()
     peeled = np.zeros(n, dtype=bool)
@@ -46,7 +48,7 @@ def park_kcore(
         coreness=coreness,
         runtime=runtime,
         buckets=buckets,
-        sampling=None,
+        scratch=scratch,
     )
 
     remaining = n
@@ -57,7 +59,7 @@ def park_kcore(
         runtime.parallel_for(
             model.scan_op, count=n, barriers=1, tag="park_scan"
         )
-        frontier = threshold_frontier(dtilde, peeled, k, get_scratch(state))
+        frontier = threshold_frontier(scratch, dtilde, peeled, k)
         while frontier.size:
             runtime.begin_subround(int(frontier.size))
             coreness[frontier] = k

@@ -103,6 +103,7 @@ def pkc_kcore(
         threads: Number of simulated threads owning local buffers.
     """
     runtime = SimRuntime(model)
+    scratch = KernelScratch(graph, kernel_mode(runtime.registry))
     p = threads if threads is not None else model.n_cores
     n = graph.n
     dtilde = graph.degrees.astype(np.int64).copy()
@@ -113,9 +114,6 @@ def pkc_kcore(
             model.scan_op, count=n, barriers=1, tag="init_degrees"
         )
 
-    regime = kernel_mode()
-    scratch = KernelScratch(graph) if regime != REFERENCE else None
-
     remaining = n
     k = 0
     while remaining:
@@ -123,7 +121,7 @@ def pkc_kcore(
         runtime.parallel_for(
             model.scan_op, count=n, barriers=1, tag="pkc_scan"
         )
-        frontier = threshold_frontier(dtilde, peeled, k, scratch)
+        frontier = threshold_frontier(scratch, dtilde, peeled, k)
         if frontier.size == 0:
             k += 1
             continue
@@ -134,7 +132,7 @@ def pkc_kcore(
 
         # Static partition of the frontier over the thread-local buffers;
         # each thread drains its buffer sequentially, chains included.
-        if regime == REFERENCE:
+        if scratch.mode == REFERENCE:
             thread_works, counts, claimed = _chain_drain_reference(
                 graph, dtilde, peeled, coreness, frontier, k, p, model
             )

@@ -31,7 +31,8 @@ inside the batch.  The ``updates`` subject of the differential harness
 (:mod:`repro.regress.harness`) enforces bit-equality against a full
 recompute after every batch.
 
-``REPRO_KERNELS`` selects the kernels, once per batch.  Under
+``REPRO_KERNELS`` selects the kernels, once per batch, and the batch
+counts its ``kernel.mode.<mode>`` into the service's registry.  Under
 ``native`` each insertion round — every level's subcore BFS, ``cd``
 init, peel and relabel — is one C call
 (:func:`repro.perf.kernels.insertion_round_native`) whose steps enter
@@ -42,7 +43,7 @@ deletion cascade gathers with the flat NumPy kernel
 runs the NumPy code below over the per-edge Python gather loop
 (:func:`neighbor_stream_reference`): the oracle.  Both modes are
 bit-exact — same coreness, same simulated-runtime ledger, same registry
-counters and trace events.
+counters and trace events but for that mode counter.
 
 Work is charged to the simulated runtime through the sanctioned APIs
 (``parallel_for`` / ``parallel_update`` with contention counts from the
@@ -94,15 +95,6 @@ def neighbor_stream_reference(
         for u in indices[indptr[v] : indptr[v + 1]].tolist():
             out.append(u)
     return np.asarray(out, dtype=np.int64)
-
-
-def resolve_stream_kernel(regime: str | None = None):
-    """The neighbor-stream kernel for a (resolved) ``REPRO_KERNELS`` mode."""
-    if regime is None:
-        regime = kernel_mode()
-    if regime == REFERENCE:
-        return neighbor_stream_reference
-    return neighbor_stream_vectorized
 
 
 def _checked_keys(graph: CSRGraph) -> np.ndarray:
@@ -281,8 +273,13 @@ class BatchDynamicKCore:
         runtime = self.runtime
         runtime.begin_round()
         rounds_before = runtime.metrics.subrounds
-        regime = kernel_mode()
-        stream = resolve_stream_kernel(regime)
+        regime = kernel_mode(runtime.registry)
+        # Looked up here, per batch: a caller may replace either stream.
+        stream = (
+            neighbor_stream_reference
+            if regime == REFERENCE
+            else neighbor_stream_vectorized
+        )
 
         lowered = before = _EMPTY
         raised = _EMPTY

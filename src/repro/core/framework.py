@@ -37,6 +37,8 @@ from repro.core.vgc import DEFAULT_QUEUE_SIZE, VGCConfig
 from repro.errors import SamplingRestartError
 from repro.graphs.csr import CSRGraph
 from repro.obs.registry import active_registry
+from repro.perf import kernel_mode
+from repro.perf.kernels import KernelScratch
 from repro.primitives.bitops import sorted_member_mask, sorted_unique
 from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.runtime.metrics import RunMetrics
@@ -114,7 +116,8 @@ def decompose(
     ``registry`` optionally attaches a :class:`repro.obs.MetricsRegistry`
     (with a tracer facet, the timeline too) to the run; observation is
     side-effect-free (the ledger is bit-identical with and without it,
-    lint rule R006) and spans every restart attempt.
+    lint rule R006) and spans every restart attempt.  The kernel mode is
+    resolved once here, for every attempt, and counted into it.
     """
     config = config if config is not None else FrameworkConfig()
     if config.peel not in ("online", "offline"):
@@ -123,6 +126,7 @@ def decompose(
         raise ValueError("sampling applies to the online peel only")
     if registry is None:
         registry = active_registry()
+    mode = kernel_mode(registry)
 
     carried = None  # metrics from failed attempts
     mu_boost = 1
@@ -130,7 +134,7 @@ def decompose(
     while True:
         try:
             result = _run_once(
-                graph, attempt_config, model, mu_boost, registry
+                graph, attempt_config, model, mu_boost, mode, registry
             )
         except SamplingRestartError:
             # Las-Vegas recovery (Sec. 4.1.4): retry with a stronger mu,
@@ -160,10 +164,12 @@ def _run_once(
     config: FrameworkConfig,
     model: CostModel,
     mu_boost: int,
+    mode: str,
     registry=None,
 ) -> CorenessResult:
     """One attempt of the decomposition (may raise SamplingRestartError)."""
     runtime = SimRuntime(model, registry=registry)
+    scratch = KernelScratch(graph, mode)
     n = graph.n
     dtilde = graph.degrees.astype(np.int64).copy()
     peeled = np.zeros(n, dtype=bool)
@@ -180,7 +186,7 @@ def _run_once(
     sampling: SamplingState | None = None
     if config.sampling:
         sampling = SamplingState(
-            graph, dtilde, peeled, runtime,
+            graph, dtilde, peeled, runtime, scratch,
             config=config.sampling_config, mu_boost=mu_boost,
         )
         sampling.attach_coreness(coreness)
@@ -199,6 +205,7 @@ def _run_once(
         coreness=coreness,
         runtime=runtime,
         buckets=buckets,
+        scratch=scratch,
         sampling=sampling,
     )
 

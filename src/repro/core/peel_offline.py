@@ -49,7 +49,7 @@ class OfflinePeel:
             model.histogram_op, count=edge_total, barriers=2,
             tag="offline_hist",
         )
-        outcome = scan_peel_round(state, frontier, k)
+        outcome = scan_peel_round(state.scratch, state.dtilde, frontier, k)
         survivors = (outcome.new > k) & (~state.peeled[outcome.touched])
         runtime.parallel_for(
             model.scan_op,

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.core.state import PeelState
 from repro.core.vgc import VGCConfig
-from repro.perf import REFERENCE, kernel_mode
+from repro.perf import REFERENCE
 from repro.perf.kernels import (
     VGCTaskResult,
     scan_peel_round,
@@ -71,7 +71,7 @@ class OnlinePeel:
                 else None
             )
         elif int(degrees.sum()):
-            outcome = scan_peel_round(state, frontier, k)
+            outcome = scan_peel_round(state.scratch, state.dtilde, frontier, k)
         else:
             outcome = None
 
@@ -121,14 +121,14 @@ class OnlinePeel:
 
         The task loop comes in two bit-exact implementations — the
         compiled native kernel and the original reference loop —
-        selected by ``REPRO_KERNELS``; everything after it (contention
-        accounting, resampling, bucket updates, frontier merge) is
-        shared, so the implementations can only differ inside the loop.
+        selected by ``state.scratch.mode``; everything after it (contention
+        accounting, resampling, bucket updates, frontier merge) is shared,
+        so the implementations can only differ inside the loop.
         """
         assert self.vgc is not None
         runtime = state.runtime
         model = runtime.model
-        regime = kernel_mode()
+        regime = state.scratch.mode
         if regime == REFERENCE:
             result = self._vgc_task_loop_reference(state, frontier, k)
         else:

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.errors import SamplingRestartError
 from repro.graphs.csr import CSRGraph
-from repro.perf.kernels import recount_alive
+from repro.perf.kernels import KernelScratch, recount_alive
 from repro.primitives.bitops import sorted_unique
 from repro.runtime.atomics import batch_increment_clamped
 from repro.runtime.simulator import SimRuntime
@@ -76,7 +76,8 @@ class SamplingState:
     """Per-run sampler state: one (mode, rate, cnt) record per vertex.
 
     The struct-of-arrays layout replaces the paper's per-vertex ``sampler``
-    struct; all bulk operations are vectorized.
+    struct; all bulk operations are vectorized.  The recounts run in the
+    kernel mode of the run's ``scratch``.
     """
 
     def __init__(
@@ -85,6 +86,7 @@ class SamplingState:
         dtilde: np.ndarray,
         peeled: np.ndarray,
         runtime: SimRuntime,
+        scratch: KernelScratch,
         config: SamplingConfig | None = None,
         mu_boost: int = 1,
     ) -> None:
@@ -92,6 +94,7 @@ class SamplingState:
         self.dtilde = dtilde
         self.peeled = peeled
         self.runtime = runtime
+        self.scratch = scratch
         self.config = config if config is not None else SamplingConfig()
         self.mu = self.config.resolve_mu(graph.n) * mu_boost
         self.r = self.config.r
@@ -215,7 +218,7 @@ class SamplingState:
         self.runtime.metrics.resamples += int(vertices.size)
 
         # Exact recount: number of unpeeled neighbors (Alg. 5 line 19).
-        exact = recount_alive(self.graph, self.peeled, vertices)
+        exact = recount_alive(self.scratch, self.peeled, vertices)
         lengths = (
             self.graph.indptr[vertices + 1] - self.graph.indptr[vertices]
         )
@@ -266,7 +269,7 @@ class SamplingState:
             "framework must call attach_coreness before peeling"
         )
         counts = recount_alive(
-            self.graph, self.peeled, vertices, self._coreness_view, k
+            self.scratch, self.peeled, vertices, self._coreness_view, k
         )
         return bool(np.any(counts < k))
 

@@ -19,8 +19,7 @@ from repro.graphs.csr import CSRGraph
 from repro.obs.registry import active_registry
 from repro.perf import REFERENCE, kernel_mode
 from repro.perf.kernels import (
-    FlatPeelState,
-    get_scratch,
+    KernelScratch,
     scan_peel_round,
     threshold_frontier,
 )
@@ -75,7 +74,7 @@ def _bz_peel(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray, int]:
     return coreness, vert, ops
 
 
-def _bz_peel_flat(graph: CSRGraph) -> tuple[np.ndarray, int]:
+def _bz_peel_flat(scratch: KernelScratch) -> tuple[np.ndarray, int]:
     """NumPy bucket peel, bit-exact with :func:`_bz_peel`'s outputs.
 
     Peels whole degree levels at once instead of one vertex at a time.
@@ -90,6 +89,7 @@ def _bz_peel_flat(graph: CSRGraph) -> tuple[np.ndarray, int]:
     produced (level peeling has no canonical within-level order), so
     :func:`degeneracy_order` keeps using the reference loop.
     """
+    graph = scratch.graph
     n = graph.n
     ops = 3 * n + graph.m
     coreness = np.zeros(n, dtype=np.int64)
@@ -97,15 +97,13 @@ def _bz_peel_flat(graph: CSRGraph) -> tuple[np.ndarray, int]:
         return coreness, ops
     dtilde = graph.degrees.astype(np.int64)
     peeled = np.zeros(n, dtype=bool)
-    state = FlatPeelState(graph, dtilde)
-    scratch = get_scratch(state)
     remaining = n
     sentinel = np.iinfo(np.int64).max
     k = 0
     while remaining:
         # Jump to the lowest occupied level, then peel its cascade.
         k = max(k, int(np.min(np.where(peeled, sentinel, dtilde))))
-        frontier = threshold_frontier(dtilde, peeled, k, scratch)
+        frontier = threshold_frontier(scratch, dtilde, peeled, k)
         while frontier.size:
             peeled[frontier] = True
             coreness[frontier] = k
@@ -114,7 +112,7 @@ def _bz_peel_flat(graph: CSRGraph) -> tuple[np.ndarray, int]:
             # ones included; a peeled vertex's dtilde is never read
             # again (every consumer masks on ``peeled``), so the values
             # the algorithm observes match the alive-filtered loop.
-            outcome = scan_peel_round(state, frontier, k)
+            outcome = scan_peel_round(scratch, dtilde, frontier, k)
             cross = outcome.crossed
             frontier = cross[~peeled[cross]]
     return coreness, ops
@@ -129,15 +127,16 @@ def bz_core(
     loop; every other mode runs the equivalent NumPy level peel (the
     differential oracle's wall-clock depends on it at the large tier).
     """
-    if kernel_mode() == REFERENCE:
+    # BZ runs without a SimRuntime, so the process-wide registry (if
+    # any) is fed its mode and its single sequential step directly.
+    registry = active_registry()
+    mode = kernel_mode(registry)
+    if mode == REFERENCE:
         coreness, _, ops = _bz_peel(graph)
     else:
-        coreness, ops = _bz_peel_flat(graph)
+        coreness, ops = _bz_peel_flat(KernelScratch(graph, mode))
     metrics = RunMetrics()
     metrics.record_sequential(float(ops), tag="bz")
-    # BZ runs without a SimRuntime, so the process-wide registry (if
-    # any) is fed its single sequential step directly.
-    registry = active_registry()
     if registry is not None:
         registry.attach_model(model)
         registry.on_step("sequential", float(ops), float(ops), 0, "bz")

@@ -8,6 +8,7 @@ import numpy as np
 
 from repro.core.sampling import SamplingState
 from repro.graphs.csr import CSRGraph
+from repro.perf.kernels import KernelScratch
 from repro.runtime.simulator import SimRuntime
 from repro.structures.buckets_base import BucketStructure
 
@@ -23,10 +24,9 @@ class PeelState:
         coreness: Output array; written when a vertex is peeled.
         runtime: Simulated runtime collecting cost accounting.
         buckets: The active-set / bucketing strategy.
+        scratch: The run's kernel mode, resolved once where the run
+            starts, and buffer arena; the subrounds dispatch on its mode.
         sampling: Sampler state, or None when sampling is disabled.
-        scratch: Lazily created per-run kernel buffer arena
-            (:class:`repro.perf.kernels.KernelScratch`); use
-            :func:`repro.perf.kernels.get_scratch` to access it.
     """
 
     graph: CSRGraph
@@ -35,5 +35,5 @@ class PeelState:
     coreness: np.ndarray
     runtime: SimRuntime
     buckets: BucketStructure
+    scratch: KernelScratch
     sampling: SamplingState | None = None
-    scratch: object | None = None

@@ -21,6 +21,8 @@ from repro.core.sampling import SamplingConfig, SamplingState
 from repro.core.state import PeelState
 from repro.core.vgc import DEFAULT_QUEUE_SIZE, VGCConfig
 from repro.graphs.csr import CSRGraph
+from repro.perf import kernel_mode
+from repro.perf.kernels import KernelScratch
 from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.runtime.metrics import RunMetrics
 from repro.runtime.simulator import SimRuntime
@@ -75,6 +77,7 @@ def max_kcore_subgraph(
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     runtime = SimRuntime(model)
+    scratch = KernelScratch(graph, kernel_mode(runtime.registry))
     n = graph.n
     dtilde = graph.degrees.astype(np.int64).copy()
     peeled = np.zeros(n, dtype=bool)
@@ -91,7 +94,7 @@ def max_kcore_subgraph(
     sampling_state: SamplingState | None = None
     if sampling and n:
         sampling_state = SamplingState(
-            graph, dtilde, peeled, runtime, config=sampling_config
+            graph, dtilde, peeled, runtime, scratch, config=sampling_config
         )
         sampling_state.attach_coreness(coreness)
         if threshold >= 0:
@@ -110,6 +113,7 @@ def max_kcore_subgraph(
         coreness=coreness,
         runtime=runtime,
         buckets=buckets,
+        scratch=scratch,
         sampling=sampling_state,
     )
 

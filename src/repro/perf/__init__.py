@@ -17,14 +17,17 @@ between the two tiers:
 
 Both tiers are bit-exact with each other: same coreness, same metrics
 ledger, same RNG stream.  The mode is purely a wall-clock knob.
+
+Each run resolves the mode once, where it starts (:func:`kernel_mode`),
+and carries it on its :class:`repro.perf.kernels.KernelScratch`.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
-
-from repro.obs.registry import active_registry
+from collections.abc import Iterator
+from contextlib import contextmanager
 
 #: Environment variable selecting the kernel implementation.
 KERNELS_ENV = "REPRO_KERNELS"
@@ -46,15 +49,16 @@ def native_available() -> bool:
     return available()
 
 
-def kernel_mode() -> str:
-    """The active kernel implementation, resolved to a concrete mode.
+def kernel_mode(registry=None) -> str:
+    """The kernel implementation of one run, resolved to a concrete mode.
 
     Returns ``native`` or ``reference``.  The default ``auto`` resolves
-    to ``native``; on a host without a working C compiler it falls back
-    to ``reference`` loudly (a one-time ``RuntimeWarning`` and the
-    ``kernel.fallback.native_unavailable`` counter).  The payloads are
-    bit-identical across modes, so only the wall-clock depends on the
-    host toolchain.
+    to ``native``; where the native kernels do not load it falls back
+    to ``reference`` loudly (a one-time ``RuntimeWarning`` naming the
+    cause, and the ``kernel.fallback.native_unavailable`` counter).
+    The payloads are bit-identical across modes, so only the wall-clock
+    depends on the host toolchain.  The decision is counted as
+    ``kernel.mode.<mode>`` into ``registry``, the run's own, if any.
     """
     global _fallback_warned
     mode = os.environ.get(KERNELS_ENV, AUTO).strip().lower()
@@ -62,30 +66,60 @@ def kernel_mode() -> str:
         raise ValueError(
             f"{KERNELS_ENV} must be one of {_VALID_MODES}, got {mode!r}"
         )
-    registry = active_registry()
-    if mode == AUTO:
-        resolved = NATIVE if native_available() else REFERENCE
-        if resolved != NATIVE and not _fallback_warned:
+    if mode != REFERENCE and not native_available():
+        from repro.perf.native import failure
+
+        if mode == NATIVE:
+            raise RuntimeError(
+                f"{KERNELS_ENV}={NATIVE} but the native kernels are "
+                f"unavailable: {failure()}; use {AUTO} to fall back to "
+                f"the {REFERENCE} loops"
+            )
+        mode = REFERENCE
+        if not _fallback_warned:
             _fallback_warned = True
             warnings.warn(
-                f"{KERNELS_ENV}={AUTO}: no C compiler could build the "
-                f"native kernels; running the {REFERENCE} loops",
+                f"{KERNELS_ENV}={AUTO}: the native kernels are "
+                f"unavailable ({failure()}); running the {REFERENCE} loops",
                 RuntimeWarning,
                 stacklevel=2,
             )
         if registry is not None:
-            registry.inc(f"kernel.mode.{resolved}")
-            if resolved != NATIVE:
-                registry.inc("kernel.fallback.native_unavailable")
-        return resolved
-    if mode == NATIVE and not native_available():
-        raise RuntimeError(
-            f"{KERNELS_ENV}={NATIVE} but no C compiler is available; "
-            f"use {AUTO} to fall back to the {REFERENCE} loops"
-        )
+            registry.inc("kernel.fallback.native_unavailable")
+    elif mode == AUTO:
+        mode = NATIVE
     if registry is not None:
         registry.inc(f"kernel.mode.{mode}")
     return mode
+
+
+@contextmanager
+def kernels_env(mode: str) -> Iterator[None]:
+    """Run the block under ``REPRO_KERNELS=mode``; restore it after."""
+    previous = os.environ.get(KERNELS_ENV)
+    os.environ[KERNELS_ENV] = mode
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop(KERNELS_ENV, None)
+        else:
+            os.environ[KERNELS_ENV] = previous
+
+
+def kernel_modes(spec: str = "all") -> list[str]:
+    """``all`` (reference, plus native where it builds) or a comma list.
+
+    Each listed mode is resolved as a run would resolve it, so ``auto``
+    becomes the mode it runs; an unknown one raises ``ValueError``.
+    """
+    if spec == "all":
+        return [REFERENCE] + ([NATIVE] if native_available() else [])
+    modes = []
+    for name in filter(str.strip, spec.split(",")):
+        with kernels_env(name):
+            modes.append(kernel_mode())
+    return list(dict.fromkeys(modes))
 
 
 __all__ = [
@@ -94,5 +128,7 @@ __all__ = [
     "NATIVE",
     "REFERENCE",
     "kernel_mode",
+    "kernel_modes",
+    "kernels_env",
     "native_available",
 ]

@@ -17,6 +17,9 @@ NumPy expression itself.  The batch-dynamic insertion repair runs one
 whole round, all its levels, in C (:func:`insertion_round_native`) and
 charges it as one ledger block.
 
+No kernel reads ``REPRO_KERNELS``: each branches on the mode its run
+resolved once and carries on its :class:`KernelScratch`.
+
 The exactness argument of the VGC wrapper, per mechanism:
 
 * **Deferred RNG draws.**  Sample-mode membership cannot change
@@ -52,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.perf import NATIVE, kernel_mode
+from repro.perf import NATIVE
 from repro.runtime.atomics import (
     DecrementOutcome,
     batch_decrement,
@@ -86,18 +89,21 @@ class PointerCache:
 
 
 class KernelScratch(PointerCache):
-    """Per-run reusable kernel buffers, allocated lazily on first use.
+    """One run's graph, kernel ``mode`` and lazily allocated buffers.
 
-    The flat kernels used to allocate their output streams per subround
-    (``np.empty(indices.size)`` is tens of megabytes on the large tier);
-    one arena per run amortizes that to a single allocation.  Buffer
-    contents are scratch between calls — except :meth:`count_buf`, which
-    is kept all-zero: every user must re-zero exactly the entries it
-    dirtied before returning.
+    ``mode`` is the ``REPRO_KERNELS`` decision the run made where it
+    started.  The flat kernels used to allocate their output streams per
+    subround (``np.empty(indices.size)`` is tens of megabytes on the
+    large tier); one arena per run amortizes that to a single
+    allocation.  Buffer contents are scratch between calls — except
+    :meth:`count_buf`, which is kept all-zero: every user must re-zero
+    exactly the entries it dirtied before returning.
     """
 
-    def __init__(self, graph) -> None:
+    def __init__(self, graph, mode: str) -> None:
         super().__init__()
+        self.graph = graph
+        self.mode = mode
         self._n = int(graph.n)
         self._cap = int(graph.indices.size)
         self._enc: np.ndarray | None = None
@@ -154,33 +160,6 @@ class KernelScratch(PointerCache):
             entry = (array, array.view(np.uint8))
             self._views[id(array)] = entry
         return entry[1]
-
-
-def get_scratch(state) -> KernelScratch:
-    """The run's :class:`KernelScratch`, created on first use."""
-    scratch = getattr(state, "scratch", None)
-    if scratch is None:
-        scratch = KernelScratch(state.graph)
-        state.scratch = scratch
-    return scratch
-
-
-class FlatPeelState:
-    """Minimal peel state for engines without a framework ``PeelState``.
-
-    :func:`scan_peel_round` and :func:`threshold_frontier` only need the
-    graph, the live ``dtilde`` array, and somewhere to hang the run's
-    :class:`KernelScratch`; the sequential BZ level peel and the
-    approximate geometric peel use this shim to ride the same flat
-    kernels as the parallel engines.
-    """
-
-    __slots__ = ("graph", "dtilde", "scratch")
-
-    def __init__(self, graph, dtilde: np.ndarray) -> None:
-        self.graph = graph
-        self.dtilde = dtilde
-        self.scratch = None
 
 
 @dataclass
@@ -255,7 +234,7 @@ def vgc_peel_tasks_native(
     graph = state.graph
     model = state.runtime.model
     mode, rate, cnt, rng, mu = _sampling_arrays(state)
-    scratch = get_scratch(state)
+    scratch = state.scratch
     enc, next_frontier, nv, ne, ns, ls_hits, marks = (
         native.run_task_loop(
             graph,
@@ -370,7 +349,9 @@ def pkc_chain_drain_native(
     return nv, ne, counts, claimed
 
 
-def scan_peel_round(state, frontier: np.ndarray, k: int) -> DecrementOutcome:
+def scan_peel_round(
+    scratch: KernelScratch, dtilde: np.ndarray, frontier: np.ndarray, k: int
+) -> DecrementOutcome:
     """Fused gather + batch-decrement of a frontier's neighborhoods.
 
     The flat helper behind the non-sampled online subround (ParK, the
@@ -382,15 +363,14 @@ def scan_peel_round(state, frontier: np.ndarray, k: int) -> DecrementOutcome:
     lists (no materialized target stream, no full-stream sort; only the
     distinct touched vertices are sorted).
     """
-    graph = state.graph
-    if kernel_mode() == NATIVE:
+    graph = scratch.graph
+    if scratch.mode == NATIVE:
         from repro.perf import native
 
-        scratch = get_scratch(state)
         count_arr = scratch.count_buf()
         marks = native.run_scan_peel(
             graph,
-            state.dtilde,
+            dtilde,
             frontier,
             count_arr,
             scratch.touched_buf(),
@@ -399,18 +379,18 @@ def scan_peel_round(state, frontier: np.ndarray, k: int) -> DecrementOutcome:
         touched = np.sort(marks)
         counts = count_arr[touched].copy()
         count_arr[marks] = 0  # restore the all-zero invariant
-        new = state.dtilde[touched]
+        new = dtilde[touched]
         old = new + counts
         crossed = touched[(old > k) & (new <= k)]
         return DecrementOutcome(
             counts=counts, crossed=crossed, touched=touched, old=old, new=new
         )
     targets = graph.gather_neighbors(frontier)
-    return batch_decrement(state.dtilde, targets, k)
+    return batch_decrement(dtilde, targets, k)
 
 
 def recount_alive(
-    graph,
+    scratch: KernelScratch,
     peeled: np.ndarray,
     vertices: np.ndarray,
     coreness: np.ndarray | None = None,
@@ -426,8 +406,9 @@ def recount_alive(
     expression, a gather of every neighborhood summed per vertex with
     ``np.add.reduceat``.
     """
+    graph = scratch.graph
     vertices = np.asarray(vertices, dtype=np.int64)
-    if kernel_mode() == NATIVE:
+    if scratch.mode == NATIVE:
         from repro.perf import native
 
         return native.run_recount(graph, peeled, vertices, coreness, k)
@@ -447,10 +428,7 @@ def recount_alive(
 
 
 def threshold_frontier(
-    dtilde: np.ndarray,
-    peeled: np.ndarray,
-    k: int,
-    scratch: KernelScratch | None = None,
+    scratch: KernelScratch, dtilde: np.ndarray, peeled: np.ndarray, k: int
 ) -> np.ndarray:
     """All unpeeled vertices with ``dtilde <= k``, in ascending order.
 
@@ -459,7 +437,7 @@ def threshold_frontier(
     is the reference expression itself, so every mode returns the exact
     ``np.nonzero`` output.
     """
-    if scratch is not None and kernel_mode() == NATIVE:
+    if scratch.mode == NATIVE:
         from repro.perf import native
 
         return native.run_scan_frontier(

@@ -24,10 +24,12 @@ changes (see docs/PERFORMANCE.md):
   the loop, and the saturation event ``cnt == mu`` is recovered exactly
   from the old/new counter values (unit increments cannot skip ``mu``).
 
-When no compiler is available (or compilation fails for any reason) the
-kernel reports unavailable and ``REPRO_KERNELS=auto`` falls back to the
-reference loops with a ``RuntimeWarning`` — payloads and goldens are
-identical either way; only the wall-clock differs.
+A cached library that does not load is rebuilt once.  When there is no
+compiler, the compile fails or the library still does not load, the
+kernel reports unavailable with that cause (:func:`failure`) and
+``REPRO_KERNELS=auto`` falls back to the reference loops with a
+``RuntimeWarning`` — payloads and goldens are identical either way;
+only the wall-clock differs.
 """
 
 from __future__ import annotations
@@ -500,15 +502,11 @@ ROUND_COST_COUNTERS = {
 }
 
 
-def kernel_source() -> str:
-    """The embedded C source of the compiled kernel (for tooling)."""
-    return _SOURCE
-
-
 _BUILD_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_build")
 
 _lib: ctypes.CDLL | None = None
 _available: bool | None = None
+_failure: str | None = None  # why the last load failed
 
 
 def _compiler() -> str | None:
@@ -523,19 +521,19 @@ def _so_path() -> str:
     return os.path.join(_BUILD_DIR, f"_vgc_kernel-{digest}.so")
 
 
-def _build() -> str | None:
+def _build(rebuild: bool = False) -> str:
     """Compile the kernel (once per source version); return the .so path."""
     registry = active_registry()
     path = _so_path()
-    if os.path.exists(path):
+    if not rebuild and os.path.exists(path):
         if registry is not None:
             registry.inc("cache.native_so.hit")
         return path
     cc = _compiler()
     if cc is None:
-        return None
-    os.makedirs(_BUILD_DIR, exist_ok=True)
+        raise OSError("no C compiler found ($CC, cc, gcc or clang)")
     try:
+        os.makedirs(_BUILD_DIR, exist_ok=True)
         with tempfile.TemporaryDirectory(dir=_BUILD_DIR) as work:
             src = os.path.join(work, "_vgc_kernel.c")
             out = os.path.join(work, "_vgc_kernel.so")
@@ -548,25 +546,35 @@ def _build() -> str | None:
                 timeout=120,
             )
             os.replace(out, path)  # atomic: concurrent builders agree
-    except (OSError, subprocess.SubprocessError):
+    except (OSError, subprocess.SubprocessError) as exc:
         if registry is not None:
             registry.inc("cache.native_so.build_failed")
-        return None
+        stderr = (getattr(exc, "stderr", None) or b"").decode(errors="replace")
+        reason = next((ln for ln in stderr.splitlines() if "error" in ln), exc)
+        raise OSError(f"{cc} could not build the kernels: {reason}") from None
     if registry is not None:
         registry.inc("cache.native_so.build")
     return path
 
 
 def _load() -> ctypes.CDLL | None:
-    global _lib, _available
+    global _lib, _available, _failure
     if _available is not None:
         return _lib
-    path = _build()
-    if path is None:
-        _available = False
-        return None
     try:
-        lib = ctypes.CDLL(path)
+        path = _build()
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError as exc:
+            # A cached library that does not load (truncated, or built
+            # for another host) is rebuilt once.
+            try:
+                lib = ctypes.CDLL(_build(rebuild=True))
+            except OSError as again:
+                raise OSError(
+                    f"{path} does not load ({exc}); rebuilding it failed: "
+                    f"{again}"
+                ) from None
         fn = lib.vgc_peel_tasks
         pkc = lib.pkc_chain_drain
         peel = lib.scan_peel
@@ -575,8 +583,8 @@ def _load() -> ctypes.CDLL | None:
         dirty = lib.mark_dirty
         recount = lib.recount_alive
         round_ = lib.insertion_round
-    except (OSError, AttributeError):
-        _available = False
+    except (OSError, AttributeError) as exc:
+        _available, _failure = False, str(exc)
         return None
     fn.restype = None
     fn.argtypes = [ctypes.c_void_p] * 7 + [ctypes.c_int64] * 4 + [
@@ -618,6 +626,18 @@ def _load() -> ctypes.CDLL | None:
 def available() -> bool:
     """Whether the native kernel is usable on this host (builds lazily)."""
     return _load() is not None
+
+
+def failure() -> str | None:
+    """Why the native kernel did not load (None if it did or is untried)."""
+    return _failure
+
+
+def _loaded() -> ctypes.CDLL:
+    """The kernel library, which a ``native`` run has already loaded."""
+    if _load() is None:
+        raise RuntimeError(f"native kernel unavailable: {_failure}")
+    return _lib
 
 
 def _ptr(array: np.ndarray | None) -> ctypes.c_void_p | None:
@@ -684,9 +704,7 @@ def run_task_loop(
     the row of every ``frontier`` id, so the ids are checked first, in
     ``O(|frontier|)``.
     """
-    lib = _load()
-    if lib is None:  # pragma: no cover - callers check available() first
-        raise RuntimeError("native kernel unavailable")
+    lib = _loaded()
     frontier = _check_ids("frontier", frontier, int(graph.n))
     n_tasks = int(frontier.size)
     # Stream capacities: every queue item is expanded at most once and the
@@ -758,9 +776,7 @@ def run_pkc_round(
     counters and the first-touch list as a view into ``touched``.  The
     ``frontier`` ids are checked first, in ``O(|frontier|)``.
     """
-    lib = _load()
-    if lib is None:  # pragma: no cover - callers check available() first
-        raise RuntimeError("native kernel unavailable")
+    lib = _loaded()
     frontier = _check_ids("frontier", frontier, int(graph.n))
     nv = np.empty(p, dtype=np.int64)
     ne = np.empty(p, dtype=np.int64)
@@ -803,9 +819,7 @@ def run_scan_peel(
     into ``touched`` (unsorted).  The ``frontier`` ids are checked
     first, in ``O(|frontier|)``.
     """
-    lib = _load()
-    if lib is None:  # pragma: no cover - callers check available() first
-        raise RuntimeError("native kernel unavailable")
+    lib = _loaded()
     frontier = _check_ids("frontier", frontier, int(graph.n))
     counters = np.zeros(1, dtype=np.int64)
     sp = scratch.ptr
@@ -835,9 +849,7 @@ def run_scan_frontier(
     write that many ids to ``out``, so the layouts and ``out``'s
     capacity are checked first, in ``O(1)``.
     """
-    lib = _load()
-    if lib is None:  # pragma: no cover - callers check available() first
-        raise RuntimeError("native kernel unavailable")
+    lib = _loaded()
     _check_array("dtilde", dtilde, np.int64)
     n = int(dtilde.size)
     _check_array("peeled", peeled, np.bool_, n)
@@ -873,9 +885,7 @@ def run_recount(
     length ``n``, at every neighbor of every vertex, so those layouts
     and the vertex range are checked here first.
     """
-    lib = _load()
-    if lib is None:  # pragma: no cover - callers check available() first
-        raise RuntimeError("native kernel unavailable")
+    lib = _loaded()
     n = int(graph.n)
     _check_array("peeled", peeled, np.bool_, n)
     if coreness is not None:
@@ -912,9 +922,7 @@ def run_hindex_round(
     the ids, the layouts (contiguous int64, mmap-backed views included)
     and the capacities are checked here first, in ``O(|active|)``.
     """
-    lib = _load()
-    if lib is None:  # pragma: no cover - callers check available() first
-        raise RuntimeError("native kernel unavailable")
+    lib = _loaded()
     n = int(indptr.size) - 1
     active = _check_ids("active", active, n)
     _check_array("est", est, np.int64, n)
@@ -951,9 +959,7 @@ def run_mark_dirty(
     ``O(|changed|)``: C reads the rows of ``changed`` and writes
     ``dirty`` at every neighbor.
     """
-    lib = _load()
-    if lib is None:  # pragma: no cover - callers check available() first
-        raise RuntimeError("native kernel unavailable")
+    lib = _loaded()
     n = int(indptr.size) - 1
     changed = _check_ids("changed", changed, n)
     _check_array("dirty", dirty, np.uint8, n)
@@ -993,9 +999,7 @@ def run_insertion_round(
     and contention buffers, so the ids, the levels, every layout and
     the capacities are checked first, in ``O(|roots| + |levels|)``.
     """
-    lib = _load()
-    if lib is None:  # pragma: no cover - callers check available() first
-        raise RuntimeError("native kernel unavailable")
+    lib = _loaded()
     n = int(graph.n)
     arcs = int(graph.indices.size)
     roots = _check_ids("roots", roots, n)

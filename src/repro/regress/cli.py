@@ -38,15 +38,19 @@ from repro.regress.goldens import (
     read_golden,
     write_golden,
 )
-from repro.regress.harness import (
-    SHARD_WORKER_COUNTS,
-    SUBJECTS,
-    kernel_modes,
-    run_oracle,
-)
+from repro.perf import kernel_modes
+from repro.regress.harness import SHARD_WORKER_COUNTS, SUBJECTS, run_oracle
 from repro.regress.matrix import CASES, run_matrix, select_cases
 from repro.regress.reporters import DRIFT_REPORTERS
 from repro.regress.update_oracle import UPDATE_CASES, run_update_matrix
+
+
+def _kernel_modes(spec: str) -> list[str]:
+    """``--kernels``: the resolved modes, or a usage error."""
+    try:
+        return kernel_modes(spec)
+    except (ValueError, RuntimeError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,6 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     oracle.add_argument(
         "--kernels",
+        type=_kernel_modes,
         default="all",
         help="comma-separated REPRO_KERNELS modes to sweep, or 'all' "
         "(default: reference, + native when available)",
@@ -203,7 +208,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         size=args.size,
         seeds=args.seeds,
         workers=[int(count) for count in args.workers.split(",")],
-        kernels=kernel_modes(args.kernels),
+        kernels=args.kernels,
         dump_dir=args.dump_dir,
     )
     print(report)

@@ -25,13 +25,11 @@ records it for :func:`replay`.
 
 from __future__ import annotations
 
-import os
 import traceback
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -43,13 +41,7 @@ from repro.generators import suite
 from repro.generators.streams import PROFILES, UpdateBatch, generate_stream
 from repro.graphs.csr import CSRGraph
 from repro.graphs.transform import all_edges
-from repro.perf import (
-    KERNELS_ENV,
-    NATIVE,
-    REFERENCE,
-    kernel_mode,
-    native_available,
-)
+from repro.perf import kernel_mode, kernels_env
 from repro.regress.matrix import APPROX_EPS, ENGINES
 from repro.runtime.cost_model import DEFAULT_COST_MODEL
 
@@ -544,27 +536,6 @@ def replay(
 # ----------------------------------------------------------------------
 # Sweeps
 # ----------------------------------------------------------------------
-@contextmanager
-def kernels_env(mode: str) -> Iterator[None]:
-    """Run the block under ``REPRO_KERNELS=mode``; restore it after."""
-    previous = os.environ.get(KERNELS_ENV)
-    os.environ[KERNELS_ENV] = mode
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(KERNELS_ENV, None)
-        else:
-            os.environ[KERNELS_ENV] = previous
-
-
-def kernel_modes(spec: str = "all") -> list[str]:
-    """``all`` (reference, plus native where it builds) or a comma list."""
-    if spec == "all":
-        return [REFERENCE] + ([NATIVE] if native_available() else [])
-    return [mode.strip() for mode in spec.split(",") if mode.strip()]
-
-
 def sweep(
     cases: Iterable[Case],
     runners: Mapping[str, Callable] | None = None,

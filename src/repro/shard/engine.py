@@ -34,6 +34,7 @@ from repro.bench.wallclock import available_cpus
 from repro.core.result import CorenessResult
 from repro.graphs.csr import CSRGraph
 from repro.graphs.io import save_npz
+from repro.obs.registry import active_registry
 from repro.perf import kernel_mode
 from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.shard.partition import partition_ranges
@@ -95,7 +96,8 @@ def shard_coreness(
     workers to map — is created and torn down here.
 
     The coreness array, the simulated ledger and the round trajectory
-    are bit-identical for every ``workers`` value and kernel mode.
+    are bit-identical for every ``workers`` value and kernel mode, which
+    each call resolves once (a caller's ``pool`` runs in its own).
     """
     if workers is not None and workers < 0:
         raise ValueError(f"workers must be >= 0 (0: inline), got {workers}")
@@ -104,6 +106,7 @@ def shard_coreness(
     if graph.n == 0 or (pool is None and workers == 0):
         return run_rounds(graph, model, "shard", max_rounds=max_rounds)
 
+    mode = kernel_mode(active_registry())
     own_pool = pool is None
     tmp_dir: str | None = None
     if pool is None:
@@ -116,7 +119,7 @@ def shard_coreness(
         pool = ShardPool(
             graph_path,
             partition_ranges(graph.indptr, workers),
-            mode=kernel_mode(),
+            mode=mode,
             context=context,
         )
     else:

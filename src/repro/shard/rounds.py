@@ -55,11 +55,11 @@ class RoundKernels:
         *,
         lo: int = 0,
         hi: int | None = None,
-        mode: str | None = None,
+        mode: str,
     ):
         self.indptr = indptr
         self.indices = indices
-        self.mode = kernel_mode() if mode is None else mode
+        self.mode = mode
         self.est = np.ascontiguousarray(np.diff(indptr), dtype=np.int64)
         n = self.est.size
         self.lo, self.hi = lo, n if hi is None else hi
@@ -150,8 +150,9 @@ def run_rounds(
 ) -> CorenessResult:
     """The coordinator loop: H-index rounds to the global fixed point.
 
-    Inline (``pool=None``) the coordinator steps ``[0, n)`` itself; over
-    a :class:`~repro.shard.pool.ShardPool` each round is one
+    Inline (``pool=None``) the coordinator steps ``[0, n)`` itself, in
+    the kernel mode it resolves; over a
+    :class:`~repro.shard.pool.ShardPool` each round is one
     ``pool.round``, whose merged deltas keep the coordinator's estimates
     current.  Every simulated charge is made here, from the round's
     merged aggregates in ascending vertex order, so the ledger does not
@@ -165,7 +166,8 @@ def run_rounds(
     runtime = SimRuntime(model)
     degrees = np.ascontiguousarray(graph.degrees, dtype=np.int64)
     if pool is None:
-        kernels = RoundKernels(graph.indptr, graph.indices)
+        mode = kernel_mode(runtime.registry)  # once per run
+        kernels = RoundKernels(graph.indptr, graph.indices, mode=mode)
         est = kernels.est
     else:
         est = degrees.copy()

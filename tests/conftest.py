@@ -21,6 +21,31 @@ from repro.graphs.csr import CSRGraph
 
 
 @pytest.fixture
+def fresh_native(monkeypatch, tmp_path):
+    """The native kernel loader, reset to build into an empty ``tmp_path``.
+
+    Nothing is loaded yet, the ``auto`` fallback has not warned, and the
+    process's own loaded library comes back when the test ends.
+    """
+    import repro.perf as perf
+    from repro.perf import native
+
+    monkeypatch.setattr(native, "_BUILD_DIR", str(tmp_path))
+    monkeypatch.setattr(native, "_lib", None)
+    monkeypatch.setattr(native, "_available", None)
+    monkeypatch.setattr(native, "_failure", None, raising=False)
+    monkeypatch.setattr(perf, "_fallback_warned", False)
+    return native
+
+
+@pytest.fixture
+def no_compiler(fresh_native, monkeypatch):
+    """A host on which no C compiler builds the native kernels."""
+    monkeypatch.setattr(fresh_native, "_compiler", lambda: None)
+    return fresh_native
+
+
+@pytest.fixture
 def triangle() -> CSRGraph:
     """K3: coreness 2 everywhere."""
     return CSRGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)], name="triangle")

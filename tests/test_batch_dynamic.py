@@ -398,13 +398,31 @@ def _replay(mode, graph, batches, scratch_levels=None):
     )
 
 
+def _mode_decisions(snapshot) -> float:
+    """Pop the ``kernel.mode.<mode>`` counters (they name the mode)."""
+    counters = snapshot["families"]["sim"]["counters"]
+    names = [name for name in counters if name.startswith("kernel.mode.")]
+    return sum(counters.pop(name)["value"] for name in names)
+
+
+def assert_same_replay(got, want, batches, label) -> None:
+    """Two replays agree in every observable but the mode they ran.
+
+    Each counts one ``kernel.mode.<mode>`` per batch, for its own mode.
+    """
+    for index, (batch_got, batch_want) in enumerate(zip(got[0], want[0])):
+        assert batch_got == batch_want, (label, index)
+    for snapshot in (got[1], want[1]):
+        assert _mode_decisions(snapshot) == len(batches), label
+    assert got[1:] == want[1:], label
+
+
 def assert_modes_agree(graph, batches, mode=NATIVE, scratch_levels=None):
     """``mode`` and ``reference`` replays agree in every observable."""
-    got = _replay(mode, graph, batches, scratch_levels)
     want = _replay(REFERENCE, graph, batches)
-    for index, (batch_got, batch_want) in enumerate(zip(got[0], want[0])):
-        assert batch_got == batch_want, (mode, index)
-    assert got[1:] == want[1:], mode
+    assert_same_replay(
+        _replay(mode, graph, batches, scratch_levels), want, batches, mode
+    )
     return want
 
 
@@ -623,28 +641,26 @@ def test_round_resumes_after_a_full_scratch(small_er):
     resumed, shown_resumed = _count_round_calls(small_er, batches, 1)
     assert resumed > calls
     assert shown_resumed == shown
-    assert shown == _replay(REFERENCE, small_er, batches)
+    assert_same_replay(
+        shown, _replay(REFERENCE, small_er, batches), batches, NATIVE
+    )
 
 
-def test_native_unavailable_falls_back(monkeypatch):
+def test_native_unavailable_falls_back(monkeypatch, no_compiler):
     """Without a compiler, auto falls back to reference — loudly, once."""
-    import repro.perf as perf
-    import repro.perf.native as native_mod
-
-    monkeypatch.setattr(native_mod, "available", lambda: False)
-    monkeypatch.setattr(perf, "_fallback_warned", False)
     monkeypatch.setenv(KERNELS_ENV, AUTO)
     registry = MetricsRegistry()
-    with observing(registry):
-        with pytest.warns(RuntimeWarning, match="no C compiler"):
-            assert kernel_mode() == REFERENCE
+    with pytest.warns(RuntimeWarning, match="no C compiler"):
+        assert kernel_mode(registry) == REFERENCE
     assert registry.value("kernel.fallback.native_unavailable") == 1.0
     assert registry.value("kernel.mode.reference") == 1.0
     graph = CSRGraph.from_edges(5, [(0, 1), (1, 2), (2, 0)])
-    engine = BatchDynamicKCore(graph)
+    engine = BatchDynamicKCore(graph, registry=registry)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the warning is one-time
         engine.apply_batch(insertions=[(0, 3)])
+    assert registry.value("kernel.fallback.native_unavailable") == 2.0
+    assert registry.value("kernel.mode.reference") == 2.0
     assert_exact(engine, "auto-fallback")
     monkeypatch.setenv(KERNELS_ENV, NATIVE)
     with pytest.raises(RuntimeError, match="no C compiler"):

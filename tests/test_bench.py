@@ -147,13 +147,9 @@ class TestRunner:
         assert fingerprint(inline) == fingerprint(pooled)
 
     def test_default_cell_runs_reference_without_compiler(
-        self, monkeypatch
+        self, monkeypatch, no_compiler
     ):
-        import repro.perf as perf
-
         monkeypatch.setenv(KERNELS_ENV, AUTO)
-        monkeypatch.setattr(perf, "native_available", lambda: False)
-        monkeypatch.setattr(perf, "_fallback_warned", False)
         with pytest.warns(RuntimeWarning, match="no C compiler"):
             cell = BenchCell("ours", "GL2-S", size="tiny")
         assert cell.kernels == REFERENCE

@@ -9,6 +9,7 @@ from __future__ import annotations
 import os
 
 import numpy as np
+import pytest
 
 from repro.core.baselines.julienne import julienne_kcore
 from repro.core.sequential import bz_core
@@ -114,6 +115,30 @@ class TestKernelModeLoop:
         monkeypatch.setenv(KERNELS_ENV, "auto")
         run_oracle("engines", ["GRID"], kernels=[REFERENCE])
         assert os.environ[KERNELS_ENV] == "auto"
+
+    def test_cli_kernels_are_resolved_or_rejected(self, capsys):
+        """``--kernels`` sweeps the modes runs resolve to, or exits 2."""
+        from repro.perf import kernel_mode, kernel_modes, kernels_env
+        from repro.regress.cli import main
+
+        with pytest.raises(SystemExit) as exited:
+            main(["oracle", "--kernels", "turbo"])
+        assert exited.value.code == 2
+        assert "REPRO_KERNELS must be one of" in capsys.readouterr().err
+        with kernels_env("auto"):
+            resolved = kernel_mode()
+        code = main(
+            [
+                "oracle", "--subject", "shard", "--graphs", "GRID",
+                "--workers", "1", "--kernels", "auto, auto",
+            ]
+        )
+        assert code == 0
+        assert f"kernel modes {{{resolved}}}" in capsys.readouterr().out
+        expected = [REFERENCE] if resolved == REFERENCE else [
+            REFERENCE, resolved,
+        ]
+        assert kernel_modes("reference,auto,reference") == expected
 
     def test_findings_record_their_kernel_mode(self, tmp_path):
         report = run_oracle(

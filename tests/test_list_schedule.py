@@ -48,6 +48,8 @@ class TestScheduledTime:
         import numpy as np
 
         from repro.core.state import PeelState
+        from repro.perf import kernel_mode
+        from repro.perf.kernels import KernelScratch
         from repro.structures.single_bucket import SingleBucket
 
         dtilde = graph.degrees.astype(np.int64).copy()
@@ -59,6 +61,7 @@ class TestScheduledTime:
         state = PeelState(
             graph=graph, dtilde=dtilde, peeled=peeled,
             coreness=coreness, runtime=runtime, buckets=buckets,
+            scratch=KernelScratch(graph, kernel_mode()),
         )
         while True:
             step = buckets.next_round()

@@ -41,12 +41,16 @@ from repro.obs import (
     write_snapshot,
 )
 from repro.obs.cli import main as obs_main
+from repro.perf import NATIVE, REFERENCE, native_available
 from repro.regress.goldens import read_golden
 from repro.regress.matrix import run_case, select_cases
 from repro.runtime.simulator import SimRuntime
 from repro.serve import CoreService, run_service
 from repro.serve.__main__ import main as serve_main
 from repro.trace import Tracer, render_perfetto, to_perfetto
+
+#: Kernel modes a run can resolve to on this host.
+KERNEL_MODES = [REFERENCE] + ([NATIVE] if native_available() else [])
 
 
 # ----------------------------------------------------------------------
@@ -422,14 +426,78 @@ class TestPerfettoCounterTracks:
 # ----------------------------------------------------------------------
 class TestSubsystemCounters:
     def test_kernel_mode_counters(self, monkeypatch):
+        """Each decision counts into the registry given, never the active."""
         from repro.perf import kernel_mode
 
         monkeypatch.setenv("REPRO_KERNELS", "reference")
         registry = MetricsRegistry()
-        with observing(registry):
-            kernel_mode()
+        ambient = MetricsRegistry()
+        with observing(ambient):
+            kernel_mode(registry)
+            kernel_mode(registry)
             kernel_mode()
         assert registry.value("kernel.mode.reference") == 2.0
+        assert ambient.counter_values("kernel.") == {}
+
+    @pytest.mark.parametrize("mode", KERNEL_MODES)
+    def test_every_run_counts_one_decision(self, monkeypatch, mode):
+        """One ``kernel.mode.<mode>`` per engine run, into its registry."""
+        from repro.core.locality import hindex_coreness
+        from repro.regress.matrix import ENGINES
+        from repro.runtime.cost_model import DEFAULT_COST_MODEL
+        from repro.shard import shard_coreness
+
+        monkeypatch.setenv("REPRO_KERNELS", mode)
+        graph = power_law_with_hub(
+            300, 3, hub_count=2, hub_degree=80, seed=104
+        )
+        runs = {
+            name: (lambda runner=runner: runner(graph, DEFAULT_COST_MODEL))
+            for name, runner in ENGINES.items()
+        }
+        runs["shard-inline"] = lambda: shard_coreness(graph, workers=0)
+        runs["shard-1-worker"] = lambda: shard_coreness(graph, workers=1)
+        runs["hindex"] = lambda: hindex_coreness(graph)
+        counts = {}
+        for name, run in runs.items():
+            registry = MetricsRegistry(name)
+            with observing(registry):
+                run()
+            counts[name] = registry.counter_values("kernel.")
+        assert counts == {
+            name: {f"kernel.mode.{mode}": 1.0} for name in runs
+        }
+
+    def test_restarts_count_one_decision(self):
+        """Las-Vegas restarts reuse the run's one decision."""
+        from repro.core.framework import FrameworkConfig, decompose
+        from repro.core.sampling import SamplingConfig
+
+        graph = power_law_with_hub(
+            300, 3, hub_count=2, hub_degree=80, seed=104
+        )
+        config = FrameworkConfig(
+            vgc=True,
+            sampling=True,
+            sampling_config=SamplingConfig(mu=4, threshold=8),
+        )
+        registry = MetricsRegistry()
+        result = decompose(graph, config, registry=registry)
+        assert result.metrics.restarts == 2
+        assert sum(registry.counter_values("kernel.mode.").values()) == 1.0
+
+    def test_service_counts_one_decision_per_batch(self):
+        """A service attached with ``registry=`` counts its own batches."""
+        registry = MetricsRegistry("service")
+        ambient = MetricsRegistry("ambient")
+        graph = grid_2d(8, 8)
+        engine = BatchDynamicKCore(graph, registry=registry)
+        with observing(ambient):
+            engine.apply_batch(insertions=[(0, 9)])
+            engine.apply_batch(deletions=[(0, 1)])
+            engine.apply_batch(insertions=[(0, 1)], deletions=[(0, 9)])
+        assert sum(registry.counter_values("kernel.mode.").values()) == 3.0
+        assert ambient.counter_values("kernel.") == {}
 
     def test_graph_cache_counters(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_GRAPH_CACHE", str(tmp_path))

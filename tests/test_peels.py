@@ -9,6 +9,8 @@ from repro.core.state import PeelState
 from repro.core.vgc import VGCConfig
 from repro.generators import complete_graph, path_graph, star_graph
 from repro.graphs.csr import CSRGraph
+from repro.perf import kernel_mode
+from repro.perf.kernels import KernelScratch
 from repro.runtime.simulator import SimRuntime
 from repro.structures.null_buckets import NullBuckets
 
@@ -27,6 +29,7 @@ def make_state(graph, sampling=None):
         coreness=coreness,
         runtime=runtime,
         buckets=buckets,
+        scratch=KernelScratch(graph, kernel_mode()),
         sampling=sampling,
     )
 

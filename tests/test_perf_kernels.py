@@ -118,6 +118,75 @@ def test_unknown_mode_rejected(monkeypatch):
             kernel_mode()
 
 
+def test_kernels_never_read_the_mode_switch():
+    """The kernels branch on the run's scratch, never on the environment."""
+    import ast
+    import inspect
+
+    import repro.perf.kernels as kernels
+
+    tree = ast.parse(inspect.getsource(kernels))
+    names = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    names |= {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not names & {"kernel_mode", "KERNELS_ENV"}
+
+
+def _write_truncated_library(native) -> str:
+    """Put 7 bytes where the cached kernel library belongs."""
+    import os
+
+    path = native._so_path()
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "wb") as handle:
+        handle.write(b"\x7fELF\0\0\0")
+    return path
+
+
+@pytest.mark.skipif(not native_available(), reason="no C compiler")
+def test_unloadable_cached_library_is_rebuilt(fresh_native, monkeypatch):
+    import os
+
+    path = _write_truncated_library(fresh_native)
+    monkeypatch.setenv(KERNELS_ENV, NATIVE)
+    assert kernel_mode() == NATIVE
+    assert os.path.getsize(path) > 7
+
+
+def test_unloadable_library_reports_its_cause(no_compiler, monkeypatch):
+    """A library that does not load is named, with why it was not rebuilt."""
+    import repro.perf as perf
+
+    path = _write_truncated_library(no_compiler)
+    monkeypatch.setenv(KERNELS_ENV, NATIVE)
+    with pytest.raises(RuntimeError, match="does not load") as raised:
+        kernel_mode()
+    assert path in str(raised.value)
+    assert "no C compiler" in str(raised.value)
+    monkeypatch.setenv(KERNELS_ENV, AUTO)
+    monkeypatch.setattr(perf, "_fallback_warned", False)
+    with pytest.warns(RuntimeWarning, match="does not load"):
+        assert kernel_mode() == REFERENCE
+
+
+def test_failed_compile_reports_its_cause(fresh_native, monkeypatch):
+    monkeypatch.setattr(fresh_native, "_compiler", lambda: "false")
+    monkeypatch.setenv(KERNELS_ENV, NATIVE)
+    with pytest.raises(RuntimeError, match="false could not build"):
+        kernel_mode()
+    monkeypatch.setenv(KERNELS_ENV, AUTO)
+    with pytest.warns(RuntimeWarning, match="false could not build"):
+        assert kernel_mode() == REFERENCE
+
+
 def _recount_oracle(graph, peeled, vertices, coreness, k):
     """The recount spelled out per vertex, neighbor by neighbor."""
     out = []
@@ -154,54 +223,53 @@ def _recount_inputs(seed: int):
 
 @pytest.mark.parametrize("mode", [REFERENCE, *FAST_MODES])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_recount_alive_matches_oracle(monkeypatch, mode, seed):
-    from repro.perf.kernels import recount_alive
+def test_recount_alive_matches_oracle(mode, seed):
+    from repro.perf.kernels import KernelScratch, recount_alive
 
-    monkeypatch.setenv(KERNELS_ENV, mode)
     graph, peeled, coreness, vertices = _recount_inputs(seed)
+    scratch = KernelScratch(graph, mode)
     for k in (0, 2, 5, 9):
         for core in (None, coreness):
             expected = _recount_oracle(graph, peeled, vertices, core, k)
-            got = recount_alive(graph, peeled, vertices, core, k)
+            got = recount_alive(scratch, peeled, vertices, core, k)
             assert got.dtype == np.int64
             assert np.array_equal(got, expected), (k, core is None)
-    assert recount_alive(graph, peeled, vertices[:0]).size == 0
+    assert recount_alive(scratch, peeled, vertices[:0]).size == 0
     all_peeled = np.ones(graph.n, dtype=bool)
-    assert not recount_alive(graph, all_peeled, vertices).any()
+    assert not recount_alive(scratch, all_peeled, vertices).any()
 
 
 @pytest.mark.parametrize("mode", [REFERENCE, *FAST_MODES])
-def test_recount_alive_trailing_isolated_vertex(monkeypatch, mode):
+def test_recount_alive_trailing_isolated_vertex(mode):
     """An empty neighborhood after a full one leaves the full one whole."""
     from repro.graphs.csr import CSRGraph
-    from repro.perf.kernels import recount_alive
+    from repro.perf.kernels import KernelScratch, recount_alive
 
-    monkeypatch.setenv(KERNELS_ENV, mode)
     graph = CSRGraph.from_edges(4, [(0, 1), (0, 2)])
     peeled = np.zeros(4, dtype=bool)
     vertices = np.array([3, 1, 3, 0, 3], dtype=np.int64)
-    got = recount_alive(graph, peeled, vertices)
+    got = recount_alive(KernelScratch(graph, mode), peeled, vertices)
     assert got.tolist() == [0, 1, 0, 2, 0]
 
 
 @pytest.mark.parametrize("mode", FAST_MODES)
-def test_recount_alive_rejects_bad_input(monkeypatch, mode):
-    from repro.perf.kernels import recount_alive
+def test_recount_alive_rejects_bad_input(mode):
+    from repro.perf.kernels import KernelScratch, recount_alive
 
-    monkeypatch.setenv(KERNELS_ENV, mode)
     graph, peeled, coreness, _ = _recount_inputs(0)
+    scratch = KernelScratch(graph, mode)
     with pytest.raises(IndexError):
-        recount_alive(graph, peeled, np.array([graph.n], dtype=np.int64))
+        recount_alive(scratch, peeled, np.array([graph.n], dtype=np.int64))
     with pytest.raises(IndexError):
-        recount_alive(graph, peeled, np.array([-1], dtype=np.int64))
+        recount_alive(scratch, peeled, np.array([-1], dtype=np.int64))
     with pytest.raises(ValueError, match="peeled"):
-        recount_alive(graph, peeled.astype(np.int64), np.array([0]))
+        recount_alive(scratch, peeled.astype(np.int64), np.array([0]))
     with pytest.raises(ValueError, match="coreness"):
         recount_alive(
-            graph, peeled, np.array([0]), coreness.astype(np.int32), 1
+            scratch, peeled, np.array([0]), coreness.astype(np.int32), 1
         )
     with pytest.raises(ValueError, match="coreness"):
-        recount_alive(graph, peeled, np.array([0]), coreness[::2], 1)
+        recount_alive(scratch, peeled, np.array([0]), coreness[::2], 1)
 
 
 def _flat_kernel_call(kernel: str, graph, **bad):
@@ -211,7 +279,7 @@ def _flat_kernel_call(kernel: str, graph, **bad):
     from repro.perf.kernels import KernelScratch
 
     n = graph.n
-    scratch = KernelScratch(graph)
+    scratch = KernelScratch(graph, NATIVE)
     args = {
         "dtilde": graph.degrees.copy(),
         "peeled": np.zeros(n, dtype=bool),

@@ -14,7 +14,14 @@ from repro.core.sampling import (
 from repro.core.verify import reference_coreness
 from repro.errors import SamplingRestartError
 from repro.generators import complete_graph, power_law_with_hub, star_graph
-from repro.perf import KERNELS_ENV, NATIVE, REFERENCE, native_available
+from repro.perf import (
+    KERNELS_ENV,
+    NATIVE,
+    REFERENCE,
+    kernel_mode,
+    native_available,
+)
+from repro.perf.kernels import KernelScratch
 from repro.runtime.simulator import SimRuntime
 
 #: Kernel modes the recount runs under (native where a compiler builds it).
@@ -26,7 +33,10 @@ def _make_state(graph, config=None, k=0):
     dtilde = graph.degrees.astype(np.int64).copy()
     peeled = np.zeros(graph.n, dtype=bool)
     coreness = np.zeros(graph.n, dtype=np.int64)
-    state = SamplingState(graph, dtilde, peeled, runtime, config=config)
+    scratch = KernelScratch(graph, kernel_mode())
+    state = SamplingState(
+        graph, dtilde, peeled, runtime, scratch, config=config
+    )
     state.attach_coreness(coreness)
     return state
 
@@ -258,13 +268,13 @@ class TestRestartEscalation:
         original_run_once = fw._run_once
         calls = {"sampled": 0, "exact": 0}
 
-        def flaky(graph, config, model, mu_boost, registry=None):
+        def flaky(graph, config, model, mu_boost, mode, registry=None):
             if config.sampling:
                 calls["sampled"] += 1
                 raise SamplingRestartError("injected persistent failure")
             calls["exact"] += 1
             return original_run_once(
-                graph, config, model, mu_boost, registry
+                graph, config, model, mu_boost, mode, registry
             )
 
         monkeypatch.setattr(fw, "_run_once", flaky)

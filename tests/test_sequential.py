@@ -20,8 +20,20 @@ from repro.generators import (
     star_graph,
     suite,
 )
-from repro.perf import KERNELS_ENV, NATIVE, REFERENCE, native_available
+from repro.perf import (
+    KERNELS_ENV,
+    NATIVE,
+    REFERENCE,
+    kernel_mode,
+    native_available,
+)
+from repro.perf.kernels import KernelScratch
 from repro.runtime.cost_model import DEFAULT_COST_MODEL
+
+
+def _scratch(graph):
+    """A scratch in the mode a BZ run would resolve."""
+    return KernelScratch(graph, kernel_mode())
 
 
 class TestBZ:
@@ -33,7 +45,7 @@ class TestBZ:
     def test_flat_peel_matches_reference_peel(self, any_graph):
         """The NumPy level peel: same coreness, same op count."""
         core_ref, _, ops_ref = _bz_peel(any_graph)
-        core_flat, ops_flat = _bz_peel_flat(any_graph)
+        core_flat, ops_flat = _bz_peel_flat(_scratch(any_graph))
         assert np.array_equal(core_ref, core_flat)
         assert ops_ref == ops_flat
 
@@ -42,7 +54,7 @@ class TestBZ:
         for name in suite.SUITE:
             graph = suite.load(name, tiny=True)
             core_ref, _, ops_ref = _bz_peel(graph)
-            core_flat, ops_flat = _bz_peel_flat(graph)
+            core_flat, ops_flat = _bz_peel_flat(_scratch(graph))
             assert np.array_equal(core_ref, core_flat), name
             assert ops_ref == ops_flat, name
 
@@ -64,7 +76,7 @@ class TestBZ:
         graph = CSRGraph(
             np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
         )
-        coreness, ops = _bz_peel_flat(graph)
+        coreness, ops = _bz_peel_flat(_scratch(graph))
         assert coreness.size == 0
         assert ops == 0
 

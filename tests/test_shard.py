@@ -138,9 +138,10 @@ class TestRoundKernels:
 
     def test_empty_active_set(self):
         g = grid_2d(4, 4)
-        kernels = RoundKernels(g.indptr, g.indices)
-        assert kernels.hindex_round(np.zeros(0, np.int64)).size == 0
-        assert kernels.next_active(np.zeros(0, np.int64)).size == 0
+        for mode in self.modes():
+            kernels = RoundKernels(g.indptr, g.indices, mode=mode)
+            assert kernels.hindex_round(np.zeros(0, np.int64)).size == 0
+            assert kernels.next_active(np.zeros(0, np.int64)).size == 0
 
 
 #: One rejected input each: (argument, bad value from (graph, est), error).

@@ -11,6 +11,8 @@ import pytest
 from repro.core.sampling import SamplingConfig, SamplingState
 from repro.core.verify import reference_coreness
 from repro.generators import suite
+from repro.perf import kernel_mode
+from repro.perf.kernels import KernelScratch
 from repro.runtime.simulator import SimRuntime
 
 
@@ -80,6 +82,7 @@ class TestSamplingTriggers:
             g.degrees.astype(np.int64).copy(),
             np.zeros(g.n, dtype=bool),
             runtime,
+            KernelScratch(g, kernel_mode()),
             config=SamplingConfig(),
         )
         state.initialize()
@@ -94,6 +97,7 @@ class TestSamplingTriggers:
                 g.degrees.astype(np.int64).copy(),
                 np.zeros(g.n, dtype=bool),
                 runtime,
+                KernelScratch(g, kernel_mode()),
             )
             state.initialize()
             assert not state.mode.any(), name

@@ -19,6 +19,8 @@ from repro.generators import (
     power_law_with_hub,
     star_graph,
 )
+from repro.perf import kernel_mode
+from repro.perf.kernels import KernelScratch
 from repro.runtime.simulator import SimRuntime
 
 
@@ -122,6 +124,7 @@ class TestContentionBounds:
             g.degrees.astype(np.int64).copy(),
             np.zeros(g.n, dtype=bool),
             SimRuntime(),
+            KernelScratch(g, kernel_mode()),
         )
         # Bound from the paper: O(k_max / r + threshold + mu/(1-r)).
         bound = (

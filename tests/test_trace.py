@@ -376,6 +376,8 @@ class TestFrameworkPlumbing:
         assert not ambient.tracer.steps
         assert ambient.attached == 0
         assert explicit.value("runtime.rounds") > 0
+        assert ambient.counter_values("kernel.") == {}
+        assert sum(explicit.counter_values("kernel.mode.").values()) == 1
 
     def test_baseline_engines_trace_via_active_tracer(self):
         from repro.regress.matrix import ENGINES
