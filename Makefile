@@ -66,13 +66,13 @@ serve-smoke:
 			REPRO_KERNELS=$$mode PYTHONPATH=src $(PYTHON) -m repro.serve \
 				--tiny --graph $$graph \
 				--trace serve-$$mode-$$graph.trace.json \
+				--metrics-output serve-$$mode-$$graph.obs.json \
 				--output serve-$$mode-$$graph.json || exit 1; \
 		done; \
-		cmp serve-native-$$graph.json serve-reference-$$graph.json \
-			|| exit 1; \
-		$(PYTHON) tools/compare_traces.py \
-			serve-native-$$graph.trace.json \
-			serve-reference-$$graph.trace.json || exit 1; \
+		for kind in json obs.json trace.json; do \
+			cmp serve-native-$$graph.$$kind \
+				serve-reference-$$graph.$$kind || exit 1; \
+		done; \
 	done
 
 obs-smoke: trace

@@ -177,7 +177,7 @@ class ExperimentCache:
 
     def get(self, algorithm: str, graph_name: str) -> RunRecord:
         """Run (or fetch) ``algorithm`` on ``graph_name``."""
-        from repro.obs.registry import active_registry
+        from repro.obs.registry import HOST, active_registry
 
         registry = active_registry()
         key = (algorithm, graph_name)
@@ -190,10 +190,12 @@ class ExperimentCache:
                 if payload is not None:
                     record = RunRecord(**payload)
                     if registry is not None:
-                        registry.inc("cache.bench_record.disk_hit")
+                        registry.inc(
+                            "cache.bench_record.disk_hit", family=HOST
+                        )
             if record is None:
                 if registry is not None:
-                    registry.inc("cache.bench_record.miss")
+                    registry.inc("cache.bench_record.miss", family=HOST)
                 record = run(
                     algorithm,
                     graph_name,
@@ -204,7 +206,7 @@ class ExperimentCache:
                     self._disk.put(disk_key, asdict(record))
             self._records[key] = record
         elif registry is not None:
-            registry.inc("cache.bench_record.memo_hit")
+            registry.inc("cache.bench_record.memo_hit", family=HOST)
         return self._records[key]
 
     def best_sequential_ms(self, graph_name: str) -> float:

@@ -24,7 +24,7 @@ from repro.bench.cache import DiskCache, cache_key
 from repro.bench.wallclock import measure
 from repro.generators import suite
 from repro.obs import MetricsRegistry, observing
-from repro.obs.registry import active_registry
+from repro.obs.registry import FAMILIES, HOST, active_registry
 from repro.perf import REFERENCE, kernel_mode, kernel_modes, kernels_env
 from repro.regress.matrix import ENGINES, coreness_fingerprint
 from repro.runtime.cost_model import DEFAULT_COST_MODEL
@@ -144,7 +144,7 @@ def run_cell(
             os.makedirs(trace_dir, exist_ok=True)
             write_trace(registry, trace_path(cell, trace_dir))
             if outer_registry is not None:
-                outer_registry.merge_counts(registry.counter_values())
+                _fold(outer_registry, _counts(registry))
     return {
         "graph": {"n": graph.n, "m": graph.m},
         "coreness": coreness_fingerprint(result.coreness),
@@ -153,31 +153,46 @@ def run_cell(
     }
 
 
+def _counts(registry: MetricsRegistry) -> dict[str, dict[str, float]]:
+    """Every counter of ``registry``, by family (what :func:`_fold` takes)."""
+    return {
+        family: registry.counter_values(family=family) for family in FAMILIES
+    }
+
+
+def _fold(
+    registry: MetricsRegistry, counts: dict[str, dict[str, float]]
+) -> None:
+    """Add :func:`_counts`' counters into ``registry``, family by family."""
+    for family, values in counts.items():
+        registry.merge_counts(values, family)
+
+
 def _run_cell_with_obs(
     cell: BenchCell, trace_dir: str | None = None
-) -> tuple[dict[str, object], dict[str, float]]:
+) -> tuple[dict[str, object], dict[str, dict[str, float]]]:
     """Run one cell under a fresh registry; return (payload, counters).
 
     Pool workers are separate processes, so each runs its cell under a
-    private :class:`repro.obs.MetricsRegistry` and ships the counter
-    snapshot back with the payload; the parent folds the snapshots into
-    its own registry (:meth:`~repro.obs.MetricsRegistry.merge_counts`).
+    private :class:`repro.obs.MetricsRegistry` and ships its counters of
+    both families back with the payload; the parent folds them into its
+    own registry (:meth:`~repro.obs.MetricsRegistry.merge_counts`).
     The payload itself never embeds counters, so cache entries stay
     bit-identical with and without observation.
     """
     with observing(MetricsRegistry("bench-worker")) as registry:
         payload = run_cell(cell, trace_dir)
-        return payload, registry.counter_values()
+        return payload, _counts(registry)
 
 
 def cache_summary(registry: MetricsRegistry) -> dict[str, dict[str, int]]:
-    """Per-cache event totals from the ``cache.*`` counters.
+    """Per-cache event totals from the ``host`` ``cache.*`` counters.
 
     Shape: ``{"bench_cell": {"hit": 3, "miss": 1}, "graph_npz": ...}``
     — the ``summary.caches`` section of the bench report (schema v4).
     """
     caches: dict[str, dict[str, int]] = {}
-    for name, value in registry.counter_values("cache.").items():
+    for name, value in registry.counter_values("cache.", HOST).items():
         _, cache_name, event = name.split(".", 2)
         caches.setdefault(cache_name, {})[event] = int(value)
     return caches
@@ -225,23 +240,23 @@ def execute(
         payload = None if refresh else cache.get(cell.key())
         if payload is not None:
             if registry is not None:
-                registry.inc("cache.bench_cell.hit")
+                registry.inc("cache.bench_cell.hit", family=HOST)
             resolved[cell] = ("hit", payload)
             note(cell, "cached", 0.0)
         else:
             if registry is not None:
-                registry.inc("cache.bench_cell.miss")
+                registry.inc("cache.bench_cell.miss", family=HOST)
             pending.append(cell)
 
     def finish(
         cell: BenchCell,
         payload: dict[str, object],
-        counters: dict[str, float],
+        counters: dict[str, dict[str, float]],
     ) -> None:
         cache.put(cell.key(), payload)
         resolved[cell] = ("miss", payload)
         if registry is not None:
-            registry.merge_counts(counters)
+            _fold(registry, counters)
         note(cell, "ran", float(payload["wall"]["wall_s"]))
 
     if pending:

@@ -32,7 +32,8 @@ inside the batch.  The ``updates`` subject of the differential harness
 recompute after every batch.
 
 ``REPRO_KERNELS`` selects the kernels, once per batch, and the batch
-counts its ``kernel.mode.<mode>`` into the service's registry.  Under
+counts its ``kernel.mode.<mode>`` into the service registry's ``host``
+family.  Under
 ``native`` each insertion round — every level's subcore BFS, ``cd``
 init, peel and relabel — is one C call
 (:func:`repro.perf.kernels.insertion_round_native`) whose steps enter
@@ -42,8 +43,8 @@ deletion cascade gathers with the flat NumPy kernel
 (:func:`neighbor_stream_vectorized`).  Under ``reference`` every level
 runs the NumPy code below over the per-edge Python gather loop
 (:func:`neighbor_stream_reference`): the oracle.  Both modes are
-bit-exact — same coreness, same simulated-runtime ledger, same registry
-counters and trace events but for that mode counter.
+bit-exact — same coreness, same simulated-runtime ledger, and the same
+registry snapshot and trace (neither carries the ``host`` family).
 
 Work is charged to the simulated runtime through the sanctioned APIs
 (``parallel_for`` / ``parallel_update`` with contention counts from the

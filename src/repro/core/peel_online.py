@@ -128,8 +128,7 @@ class OnlinePeel:
         assert self.vgc is not None
         runtime = state.runtime
         model = runtime.model
-        regime = state.scratch.mode
-        if regime == REFERENCE:
+        if state.scratch.mode == REFERENCE:
             result = self._vgc_task_loop_reference(state, frontier, k)
         else:
             result = vgc_peel_tasks_native(
@@ -143,7 +142,6 @@ class OnlinePeel:
         if runtime.registry is not None:
             runtime.registry.instant(
                 "vgc_tasks",
-                regime=regime,
                 tasks=int(frontier.size),
                 absorbed=int(result.local_search_hits),
                 sample_draws=int(result.sample_draws),

@@ -339,7 +339,7 @@ def _load_impl(name: str, size: str) -> CSRGraph:
             load_cached_graph,
             store_cached_graph,
         )
-        from repro.obs.registry import active_registry
+        from repro.obs.registry import HOST, active_registry
 
         registry = active_registry()
         path = cached_graph_path(
@@ -348,11 +348,11 @@ def _load_impl(name: str, size: str) -> CSRGraph:
         graph = load_cached_graph(path)
         if graph is not None:
             if registry is not None:
-                registry.inc("cache.graph_npz.hit")
+                registry.inc("cache.graph_npz.hit", family=HOST)
             graph.name = name
             return graph
         if registry is not None:
-            registry.inc("cache.graph_npz.miss")
+            registry.inc("cache.graph_npz.miss", family=HOST)
         graph = spec.build_size(size)
         store_cached_graph(graph, path)
         return graph

@@ -13,8 +13,8 @@ syntactically:
   sanctioned host-clock reader.  R003 already flags clocks in algorithm
   code via suppressions; R006 pins the *location* structurally, so a
   stray ``# lint: disable=R003`` cannot quietly add a second reader.  A
-  ``wall``-family metric or a host span can only carry a value that
-  reader measured.
+  wall-clock value in a ``host``-family metric or a host span can only
+  come from that reader.
 * **(B) observer purity** — code under the observability packages
   (``repro/obs/``, ``repro/trace/``) must not charge the simulated
   ledger (no ``parallel_for`` / ``sequential`` / ..., no ``record_*``),

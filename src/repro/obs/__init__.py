@@ -9,8 +9,8 @@ fixed-boundary histograms that guarded hooks across the stack feed —
 * the serve writer loop (commit latency, batch sizes, queue wait,
   read-staleness histograms, one mark per committed epoch);
 * kernel dispatch in :mod:`repro.perf` (mode resolutions, native
-  fallbacks, ``.so`` build-cache hits);
-* the caches (graph ``.npz``, bench cells, bench run records).
+  fallbacks, ``.so`` build-cache hits) and the caches (graph ``.npz``,
+  bench cells, bench run records), both in the ``host`` family.
 
 Given a :class:`repro.trace.Tracer` facet
 (``MetricsRegistry(label, tracer=Tracer(threads))``) the same hooks also
@@ -21,7 +21,8 @@ Attach a registry process-wide with :func:`observing`, or pass
 ``ParallelKCore.decompose`` / ``BatchDynamicKCore`` / ``CoreService``.
 Observation is strictly side-effect-free — all regression goldens pass
 bit-exactly with a registry attached and detached, traced or not (lint
-rule R006 keeps it that way) — and snapshots are byte-deterministic.
+rule R006 keeps it that way) — and snapshots, which carry only the
+``sim`` family, are byte-deterministic.
 See docs/OBSERVABILITY.md and ``python -m repro.obs --help``.
 """
 
@@ -37,10 +38,10 @@ from repro.obs.registry import (
     FAMILIES,
     OBS_SCHEMA_VERSION,
     PERCENTILES,
+    HOST,
     SIM,
     SIZE_BOUNDARIES,
     TIME_BOUNDARIES_NS,
-    WALL,
     WALL_BOUNDARIES_S,
     Counter,
     Gauge,
@@ -81,12 +82,12 @@ __all__ = [
     "DEFAULT_MAX_REGRESS",
     "DEFAULT_MIN_WALL",
     "FAMILIES",
+    "HOST",
     "OBS_SCHEMA_VERSION",
     "PERCENTILES",
     "SIM",
     "SIZE_BOUNDARIES",
     "TIME_BOUNDARIES_NS",
-    "WALL",
     "WALL_BOUNDARIES_S",
     "Counter",
     "Gauge",

@@ -3,9 +3,10 @@
 Two views of one registry:
 
 * :func:`render_dashboard` — the headline totals: every counter and
-  gauge grouped by family, histograms as count / mean / estimated tail
-  quantiles (estimates come from the fixed buckets; the serve report's
-  percentile fields stay exact, from the raw samples).
+  gauge grouped by family (``sim``, then ``host``), histograms as
+  count / mean / estimated tail quantiles (estimates come from the
+  fixed buckets; the serve report's percentile fields stay exact, from
+  the raw samples).
 * :func:`render_epoch_table` — the per-epoch table built from the
   registry's marks (one per committed epoch in a serve replay): each
   row shows the simulated commit time and the delta of every counter
@@ -14,7 +15,12 @@ Two views of one registry:
 
 from __future__ import annotations
 
-from repro.obs.registry import Histogram, MetricsRegistry
+from repro.obs.registry import (
+    FAMILIES,
+    OBS_SCHEMA_VERSION,
+    Histogram,
+    MetricsRegistry,
+)
 
 
 def _fmt(value: float) -> str:
@@ -26,14 +32,13 @@ def _fmt(value: float) -> str:
 
 def render_dashboard(registry: MetricsRegistry) -> str:
     """Headline totals of every metric, grouped by family."""
-    snapshot = registry.to_snapshot()
     lines = [
         f"== metrics: {registry.label} "
-        f"(obs schema {snapshot['obs_schema_version']}, "
-        f"{snapshot['attached']} runtime(s) observed) ==",
+        f"(obs schema {OBS_SCHEMA_VERSION}, "
+        f"{registry.attached} runtime(s) observed) ==",
     ]
-    for family in ("sim", "wall"):
-        sections = snapshot["families"][family]
+    for family in FAMILIES:
+        sections = registry.family_snapshot(family)
         if not any(sections.values()):
             continue
         lines.append(f"[{family}]")

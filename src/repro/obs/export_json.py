@@ -1,9 +1,10 @@
 """Schema-versioned, bit-deterministic JSON snapshot exporter.
 
-The snapshot is the registry's canonical serialization: sorted keys,
-fixed indentation, a trailing newline, and the ``OBS_SCHEMA_VERSION``
-tag — two same-seed runs of the same workload serialize to byte-equal
-files (the determinism test in ``tests/test_obs.py`` pins it).
+The snapshot is the registry's canonical serialization of its ``sim``
+family and marks: sorted keys, fixed indentation, a trailing newline,
+and the ``OBS_SCHEMA_VERSION`` tag — two same-seed runs of the same
+workload serialize to byte-equal files, in either kernel mode and at
+any pool size (``tests/test_obs.py`` pins it).
 """
 
 from __future__ import annotations

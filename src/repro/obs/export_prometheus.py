@@ -4,8 +4,9 @@ Renders a registry in the Prometheus text format (version 0.0.4): one
 ``# HELP`` / ``# TYPE`` header pair per metric, counters suffixed
 ``_total``, histograms expanded into cumulative ``_bucket{le=...}``
 series plus ``_sum`` / ``_count``.  Metric names are prefixed with the
-family (``repro_sim_`` / ``repro_wall_``) so the two clock domains can
-never be aggregated together by a scraper.
+family (``repro_sim_`` / ``repro_host_``) so the two families can never
+be aggregated together by a scraper.  Unlike the JSON snapshot, the
+exposition carries the ``host`` family too.
 
 The output is deterministic (sorted metric names, fixed float
 formatting) — the exposition of two same-seed runs is byte-identical.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import re
 
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import FAMILIES, MetricsRegistry
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 
@@ -35,9 +36,8 @@ def _fmt(value: float) -> str:
 def render_prometheus(registry: MetricsRegistry) -> str:
     """The registry in Prometheus text-exposition format."""
     lines: list[str] = []
-    snapshot = registry.to_snapshot()
-    for family in ("sim", "wall"):
-        sections = snapshot["families"][family]
+    for family in FAMILIES:
+        sections = registry.family_snapshot(family)
         for name, payload in sections["counters"].items():
             prom = metric_name(name, family) + "_total"
             lines.append(f"# HELP {prom} repro counter {name} ({family})")

@@ -20,13 +20,17 @@ Observation is strictly side-effect-free (lint rule R006):
 * every hook outside the observability packages is guarded by an
   ``is not None`` check, so the unobserved path stays zero-cost;
 * wall-clock readings enter only through values measured by the one
-  sanctioned reader, :mod:`repro.bench.wallclock`, and live in a
-  **separate metric family** (``wall``) that can never mix with the
-  simulated-clock family (``sim``) under one metric name.
+  sanctioned reader, :mod:`repro.bench.wallclock`.
 
-Snapshots (:meth:`MetricsRegistry.to_snapshot`) are schema-versioned and
-bit-deterministic: two same-seed runs produce byte-identical JSON, with
-or without a tracer facet.
+Every metric belongs to one of two families, and one name never spans
+both: ``sim`` holds what the graph, the seed and the cost model
+determine; ``host`` holds everything else (wall seconds, the kernel
+mode a run resolved, cache events, the shard pool's size and pipe
+traffic).  Snapshots (:meth:`MetricsRegistry.to_snapshot`) are
+schema-versioned and carry only ``sim`` and the marks, so two same-seed
+runs produce byte-identical JSON, with or without a tracer facet, in
+either kernel mode and at any pool size.  The Prometheus exposition and
+the dashboard show both families.
 """
 
 from __future__ import annotations
@@ -39,18 +43,20 @@ import numpy as np
 #: Version of the metric snapshot schema.  Bump whenever a metric kind,
 #: snapshot field, or family convention is added, removed or redefined
 #: (mirrors ``METRICS_SCHEMA_VERSION`` / ``TRACE_SCHEMA_VERSION``).
-OBS_SCHEMA_VERSION = 1
+OBS_SCHEMA_VERSION = 2
 
-#: The simulated-clock family: values derived from the deterministic
-#: execution (simulated ns, counts, sizes).  Deterministic across hosts.
+#: The simulated family: values the graph, the seed and the cost model
+#: determine (simulated ns, counts, sizes).  Equal across hosts, kernel
+#: modes and pool sizes.
 SIM = "sim"
 
-#: The wall-clock family: host measurements handed in by benchmark code
-#: (seconds from ``repro.bench.wallclock``).  Host-dependent by nature;
-#: kept strictly apart from the ``sim`` family.
-WALL = "wall"
+#: The host family: everything else (wall seconds from
+#: ``repro.bench.wallclock``, ``kernel.*`` mode decisions, ``cache.*``
+#: events, the shard pool's size and bytes shipped).  Left out of the
+#: snapshot; kept strictly apart from the ``sim`` family.
+HOST = "host"
 
-FAMILIES = (SIM, WALL)
+FAMILIES = (SIM, HOST)
 
 #: Default histogram boundaries for simulated durations (ns): one bucket
 #: per decade from 1us to 100s of simulated time.
@@ -62,7 +68,7 @@ TIME_BOUNDARIES_NS: tuple[float, ...] = tuple(
 #: queue depths, repair rounds): powers of two up to 4096.
 SIZE_BOUNDARIES: tuple[float, ...] = tuple(float(2**e) for e in range(13))
 
-#: Default histogram boundaries for host wall-clock seconds.
+#: Default histogram boundaries of the ``host`` family (wall seconds).
 WALL_BOUNDARIES_S: tuple[float, ...] = tuple(
     float(10**e) for e in range(-4, 3)
 )
@@ -300,7 +306,7 @@ class MetricsRegistry:
             self.tracer.on_subround(frontier_size)
 
     def instant(self, name: str, **args: object) -> None:
-        """A point event (kernel regime, resample, restart, commit, ...)."""
+        """A point event (VGC tasks, resample, restart, commit, ...)."""
         if self.tracer is not None:
             self.tracer.instant(name, **args)
 
@@ -336,8 +342,8 @@ class MetricsRegistry:
         if existing.family != metric.family:
             raise ValueError(
                 f"metric {metric.name!r} belongs to the "
-                f"{existing.family!r} family; the simulated and "
-                f"wall-clock families never mix under one name"
+                f"{existing.family!r} family; the sim and host "
+                f"families never mix under one name"
             )
         return existing
 
@@ -422,7 +428,7 @@ class MetricsRegistry:
 
         ``boundaries`` applies on first use only (defaults to
         :data:`TIME_BOUNDARIES_NS` for ``sim``, :data:`WALL_BOUNDARIES_S`
-        for ``wall``); later calls reuse the declared edges.
+        for ``host``); later calls reuse the declared edges.
         """
         self._check_family(family)
         metric = self._metrics.get(name)
@@ -447,48 +453,58 @@ class MetricsRegistry:
         }
         self.marks.append(Mark(float(ts), label, values))
 
-    def merge_counts(self, snapshot: dict[str, object]) -> None:
+    def merge_counts(
+        self, snapshot: dict[str, object], family: str = SIM
+    ) -> None:
         """Fold a worker's counter snapshot into this registry.
 
         ``snapshot`` maps metric name to scalar increments (the shape
-        :func:`counter_values` returns) — how the benchmark pool
-        aggregates per-process cache counters into the parent registry.
+        :func:`counter_values` returns for ``family``) — how the
+        benchmark pool aggregates per-process counters into the parent
+        registry.
         """
         for name in sorted(snapshot):
-            self.inc(name, float(snapshot[name]))
+            self.inc(name, float(snapshot[name]), family)
 
     # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------
-    def counter_values(self, prefix: str = "") -> dict[str, float]:
-        """All ``sim`` counters whose name starts with ``prefix``."""
+    def counter_values(
+        self, prefix: str = "", family: str = SIM
+    ) -> dict[str, float]:
+        """All ``family`` counters whose name starts with ``prefix``."""
         return {
             name: metric.value
             for name, metric in sorted(self._metrics.items())
             if metric.kind == "counter"
-            and metric.family == SIM
+            and metric.family == family
             and name.startswith(prefix)
         }
 
-    def to_snapshot(self) -> dict[str, object]:
-        """The full registry as a schema-versioned JSON-safe dict.
-
-        Key order is fixed (sorted metric names inside each kind) so the
-        serialized snapshot is byte-deterministic across same-seed runs.
-        """
-        families: dict[str, dict[str, dict]] = {
-            SIM: {"counters": {}, "gauges": {}, "histograms": {}},
-            WALL: {"counters": {}, "gauges": {}, "histograms": {}},
+    def family_snapshot(self, family: str) -> dict[str, dict]:
+        """``family``'s metrics as JSON-safe dicts, by kind and name."""
+        self._check_family(family)
+        sections: dict[str, dict] = {
+            "counters": {}, "gauges": {}, "histograms": {},
         }
         for name in sorted(self._metrics):
             metric = self._metrics[name]
-            section = families[metric.family][metric.kind + "s"]
-            section[name] = metric.to_dict()
+            if metric.family == family:
+                sections[metric.kind + "s"][name] = metric.to_dict()
+        return sections
+
+    def to_snapshot(self) -> dict[str, object]:
+        """The ``sim`` family and the marks as a schema-versioned dict.
+
+        Key order is fixed (sorted metric names inside each kind) and
+        the ``host`` family is left out, so the serialized snapshot is
+        byte-deterministic across same-seed runs.
+        """
         return {
             "obs_schema_version": OBS_SCHEMA_VERSION,
             "label": self.label,
             "attached": self.attached,
-            "families": families,
+            "families": {SIM: self.family_snapshot(SIM)},
             "marks": [
                 {"ts": mark.ts, "label": mark.label, "values": mark.values}
                 for mark in self.marks

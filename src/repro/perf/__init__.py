@@ -29,6 +29,8 @@ import warnings
 from collections.abc import Iterator
 from contextlib import contextmanager
 
+from repro.obs.registry import HOST
+
 #: Environment variable selecting the kernel implementation.
 KERNELS_ENV = "REPRO_KERNELS"
 
@@ -57,8 +59,9 @@ def kernel_mode(registry=None) -> str:
     to ``reference`` loudly (a one-time ``RuntimeWarning`` naming the
     cause, and the ``kernel.fallback.native_unavailable`` counter).
     The payloads are bit-identical across modes, so only the wall-clock
-    depends on the host toolchain.  The decision is counted as
-    ``kernel.mode.<mode>`` into ``registry``, the run's own, if any.
+    depends on the host toolchain.  The decision is counted as the
+    ``host`` counter ``kernel.mode.<mode>`` into ``registry``, the run's
+    own, if any.
     """
     global _fallback_warned
     mode = os.environ.get(KERNELS_ENV, AUTO).strip().lower()
@@ -85,11 +88,11 @@ def kernel_mode(registry=None) -> str:
                 stacklevel=2,
             )
         if registry is not None:
-            registry.inc("kernel.fallback.native_unavailable")
+            registry.inc("kernel.fallback.native_unavailable", family=HOST)
     elif mode == AUTO:
         mode = NATIVE
     if registry is not None:
-        registry.inc(f"kernel.mode.{mode}")
+        registry.inc(f"kernel.mode.{mode}", family=HOST)
     return mode
 
 

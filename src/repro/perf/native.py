@@ -43,7 +43,7 @@ import tempfile
 
 import numpy as np
 
-from repro.obs.registry import active_registry
+from repro.obs.registry import HOST, active_registry
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -527,7 +527,7 @@ def _build(rebuild: bool = False) -> str:
     path = _so_path()
     if not rebuild and os.path.exists(path):
         if registry is not None:
-            registry.inc("cache.native_so.hit")
+            registry.inc("cache.native_so.hit", family=HOST)
         return path
     cc = _compiler()
     if cc is None:
@@ -548,12 +548,12 @@ def _build(rebuild: bool = False) -> str:
             os.replace(out, path)  # atomic: concurrent builders agree
     except (OSError, subprocess.SubprocessError) as exc:
         if registry is not None:
-            registry.inc("cache.native_so.build_failed")
+            registry.inc("cache.native_so.build_failed", family=HOST)
         stderr = (getattr(exc, "stderr", None) or b"").decode(errors="replace")
         reason = next((ln for ln in stderr.splitlines() if "error" in ln), exc)
         raise OSError(f"{cc} could not build the kernels: {reason}") from None
     if registry is not None:
-        registry.inc("cache.native_so.build")
+        registry.inc("cache.native_so.build", family=HOST)
     return path
 
 

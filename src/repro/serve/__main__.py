@@ -113,7 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"--threads must be at least 1, got {args.threads}")
     size = args.size or ("tiny" if args.tiny else "full")
     defaults = (12, 8, 6) if args.tiny else (32, 16, 8)
     batches = args.batches if args.batches is not None else defaults[0]

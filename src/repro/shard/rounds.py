@@ -30,7 +30,7 @@ import numpy as np
 from repro.core.locality import h_index
 from repro.core.result import CorenessResult
 from repro.graphs.csr import CSRGraph
-from repro.obs.registry import WALL
+from repro.obs.registry import HOST
 from repro.perf import NATIVE, kernel_mode
 from repro.runtime.cost_model import CostModel
 from repro.runtime.simulator import SimRuntime
@@ -160,8 +160,9 @@ def run_rounds(
     ``shard_hindex`` (``vertex_op + edge_op * deg(v)`` per active
     vertex) and ``shard_exchange`` (per changed pair).  The first round
     without a delta is the fixed point; ``max_rounds`` (default
-    ``2n + 2``) rounds without one raise ``RuntimeError``.  Walls, delta
-    counts and shipped bytes go to the observing registry only.
+    ``2n + 2``) rounds without one raise ``RuntimeError``.  Delta counts
+    go to the observing registry's ``sim`` family; the pool size,
+    shipped bytes and walls, which depend on the pool, to ``host``.
     """
     runtime = SimRuntime(model)
     degrees = np.ascontiguousarray(graph.degrees, dtype=np.int64)
@@ -181,7 +182,9 @@ def run_rounds(
     registry = runtime.registry
     if registry is not None:
         registry.set_gauge(
-            "shard.workers", float(pool.shards if pool is not None else 0)
+            "shard.workers",
+            float(pool.shards if pool is not None else 0),
+            family=HOST,
         )
     runtime.parallel_for(model.scan_op, count=n, barriers=1, tag="shard_init")
 
@@ -206,12 +209,12 @@ def run_rounds(
         if registry is not None:
             registry.inc("shard.rounds")
             registry.inc("shard.deltas", float(ids.size))
-            registry.inc("shard.bytes_shipped", float(shipped))
+            registry.inc("shard.bytes_shipped", float(shipped), family=HOST)
             if walls:
                 registry.observe(
                     "shard.round_imbalance_s",
                     max(walls) - min(walls),
-                    family=WALL,
+                    family=HOST,
                 )
         if walls:
             round_walls.append(walls)

@@ -83,7 +83,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"--threads must be at least 1, got {args.threads}")
     if args.engine not in ENGINES:
         known = ", ".join(ENGINES)
         print(

@@ -35,8 +35,6 @@ def _round_line(rnd: dict) -> str:
         extras.append(f"resamples={rnd['resamples']}")
     if rnd["validate_failures"]:
         extras.append(f"validate_failures={rnd['validate_failures']}")
-    if rnd["kernel_regimes"]:
-        extras.append(f"kernels={','.join(rnd['kernel_regimes'])}")
     if extras:
         line += " " + " ".join(extras)
     return line

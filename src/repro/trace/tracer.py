@@ -9,7 +9,7 @@ work-stealing-bound duration at the tracer's thread count (the same
 :func:`~repro.runtime.metrics.step_time_parts` formula behind
 ``RunMetrics.time_on``), and rounds/subrounds become nested spans with
 per-round telemetry (frontier sizes, contention, sampler activity,
-absorptions, kernel regimes).
+absorptions).
 
 Tracing is strictly observational and deterministic (lint rule R006):
 
@@ -23,7 +23,7 @@ Tracing is strictly observational and deterministic (lint rule R006):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.runtime.metrics import step_time_parts
 
@@ -31,7 +31,7 @@ from repro.runtime.metrics import step_time_parts
 #: Bump whenever an event kind, field, or clock convention is added,
 #: removed or redefined — consumers embed this tag (mirrors the
 #: ``METRICS_SCHEMA_VERSION`` discipline of the regression goldens).
-TRACE_SCHEMA_VERSION = 1
+TRACE_SCHEMA_VERSION = 2
 
 #: Default simulated thread count of the trace clock (paper's machine).
 DEFAULT_TRACE_THREADS = 96
@@ -68,7 +68,7 @@ class SpanRecord:
 
 @dataclass
 class InstantEvent:
-    """A point event (kernel regime, resample, restart, ...)."""
+    """A point event (VGC tasks, resample, restart, ...)."""
 
     name: str
     ts: float
@@ -122,7 +122,6 @@ class RoundTelemetry:
     saturated: int = 0
     resamples: int = 0
     validate_failures: int = 0
-    kernel_regimes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict[str, object]:
         """JSON-safe dict under a fixed key order."""
@@ -144,7 +143,6 @@ class RoundTelemetry:
             "saturated": self.saturated,
             "resamples": self.resamples,
             "validate_failures": self.validate_failures,
-            "kernel_regimes": sorted(set(self.kernel_regimes)),
         }
 
 
@@ -160,6 +158,10 @@ class Tracer:
 
     def __init__(self, threads: int = DEFAULT_TRACE_THREADS) -> None:
         self.threads = int(threads)
+        if self.threads < 1:
+            raise ValueError(
+                f"a trace needs at least 1 simulated thread, got {threads}"
+            )
         self.model = None  # set at attach
         self.clock = 0.0  # simulated ns
         self.attempts = 0  # runtimes attached (restarts re-attach)
@@ -271,8 +273,8 @@ class Tracer:
         """Record a point event at the current simulated time.
 
         Known event names additionally feed the per-round telemetry:
-        ``vgc_tasks`` (absorption counts, sampler traffic, kernel
-        regime), ``sample_draw`` (hits/misses of the flat peel),
+        ``vgc_tasks`` (absorption counts, sampler traffic),
+        ``sample_draw`` (hits/misses of the flat peel),
         ``sample_saturated``, ``resample``, ``validate``.
         """
         self.instants.append(InstantEvent(name, self.clock, dict(args)))
@@ -284,9 +286,6 @@ class Tracer:
             rnd.sample_draws += int(args.get("sample_draws", 0))
             rnd.sample_hits += int(args.get("sample_hits", 0))
             rnd.saturated += int(args.get("saturated", 0))
-            regime = args.get("regime")
-            if regime:
-                rnd.kernel_regimes.append(str(regime))
         elif name == "sample_draw":
             rnd.sample_draws += int(args.get("drawn", 0))
             rnd.sample_hits += int(args.get("hits", 0))

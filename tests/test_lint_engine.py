@@ -11,6 +11,7 @@ deliberately drifted fixtures.
 from __future__ import annotations
 
 import json
+import statistics
 import textwrap
 from pathlib import Path
 
@@ -839,12 +840,18 @@ class TestIncrementalCache:
                 f"    runtime.sequential(float(n), tag='m{i}')\n"
             )
         write_tree(tmp_path, tree)
-        cache = tmp_path / ".lint-cache"
-        cold = run_lint([tmp_path / "src"], cache_dir=cache)
-        warm = run_lint([tmp_path / "src"], cache_dir=cache)
-        assert warm.stats.cache_hits == 24
-        assert warm.stats.wall_s < cold.stats.wall_s / 3, (
-            f"warm {warm.stats.wall_s:.4f}s vs cold {cold.stats.wall_s:.4f}s"
+        # Runs take tens of ms, so compare medians of 5 cold runs (each
+        # on a fresh cache) and of the 5 warm runs that follow them.
+        cold, warm = [], []
+        for sample in range(5):
+            cache = tmp_path / f".lint-cache-{sample}"
+            cold.append(run_lint([tmp_path / "src"], cache_dir=cache))
+            warm.append(run_lint([tmp_path / "src"], cache_dir=cache))
+            assert warm[-1].stats.cache_hits == 24
+        cold_s = statistics.median(run.stats.wall_s for run in cold)
+        warm_s = statistics.median(run.stats.wall_s for run in warm)
+        assert warm_s < cold_s / 3, (
+            f"median warm {warm_s:.4f}s vs cold {cold_s:.4f}s"
         )
 
     def test_select_bypasses_cache(self, tmp_path):

@@ -43,11 +43,19 @@ from repro.obs import (
 from repro.obs.cli import main as obs_main
 from repro.perf import NATIVE, REFERENCE, native_available
 from repro.regress.goldens import read_golden
-from repro.regress.matrix import run_case, select_cases
+from repro.regress.matrix import (
+    ENGINES,
+    GRAPH_BUILDERS,
+    load_graph,
+    run_case,
+    select_cases,
+)
+from repro.runtime.cost_model import DEFAULT_COST_MODEL
 from repro.runtime.simulator import SimRuntime
 from repro.serve import CoreService, run_service
 from repro.serve.__main__ import main as serve_main
 from repro.trace import Tracer, render_perfetto, to_perfetto
+from repro.trace.export_perfetto import SIM_PID
 
 #: Kernel modes a run can resolve to on this host.
 KERNEL_MODES = [REFERENCE] + ([NATIVE] if native_available() else [])
@@ -106,7 +114,7 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.inc("x", family="sim")
         with pytest.raises(ValueError, match="never mix"):
-            registry.inc("x", family="wall")
+            registry.inc("x", family="host")
 
     def test_unknown_family_rejected(self):
         registry = MetricsRegistry()
@@ -162,7 +170,7 @@ class TestRegistry:
         registry.inc("a", 2.0)
         registry.set_gauge("g", 7.0)
         registry.observe("h", 1.0)
-        registry.inc("w", 1.0, family="wall")
+        registry.inc("w", 1.0, family="host")
         registry.mark(123.0, label="epoch 1")
         (mark,) = registry.marks
         assert mark.ts == 123.0
@@ -171,12 +179,13 @@ class TestRegistry:
 
     def test_merge_counts_and_prefix_filter(self):
         registry = MetricsRegistry()
-        registry.inc("cache.graph_npz.hit", 2)
-        registry.merge_counts({"cache.graph_npz.hit": 1.0, "other": 4.0})
-        assert registry.counter_values("cache.") == {
+        registry.inc("cache.graph_npz.hit", 2, family="host")
+        registry.merge_counts({"cache.graph_npz.hit": 1.0}, family="host")
+        registry.merge_counts({"other": 4.0})
+        assert registry.counter_values("cache.", family="host") == {
             "cache.graph_npz.hit": 3.0
         }
-        assert registry.counter_values()["other"] == 4.0
+        assert registry.counter_values() == {"other": 4.0}
 
     def test_percentile_summary_shape(self):
         summary = percentile_summary([])
@@ -254,7 +263,6 @@ class TestObservationalLaw:
                 run_service(graph, events, registry=registry)
             return render_json(registry)
 
-        one_run(None)  # the first run loads the kernels: a cache counter
         traced = Tracer()
         assert one_run(None) == one_run(traced)
         assert traced.steps and traced.instants
@@ -437,14 +445,12 @@ class TestSubsystemCounters:
             kernel_mode(registry)
             kernel_mode()
         assert registry.value("kernel.mode.reference") == 2.0
-        assert ambient.counter_values("kernel.") == {}
+        assert ambient.counter_values("kernel.", family="host") == {}
 
     @pytest.mark.parametrize("mode", KERNEL_MODES)
     def test_every_run_counts_one_decision(self, monkeypatch, mode):
         """One ``kernel.mode.<mode>`` per engine run, into its registry."""
         from repro.core.locality import hindex_coreness
-        from repro.regress.matrix import ENGINES
-        from repro.runtime.cost_model import DEFAULT_COST_MODEL
         from repro.shard import shard_coreness
 
         monkeypatch.setenv("REPRO_KERNELS", mode)
@@ -463,7 +469,7 @@ class TestSubsystemCounters:
             registry = MetricsRegistry(name)
             with observing(registry):
                 run()
-            counts[name] = registry.counter_values("kernel.")
+            counts[name] = registry.counter_values("kernel.", family="host")
         assert counts == {
             name: {f"kernel.mode.{mode}": 1.0} for name in runs
         }
@@ -484,7 +490,8 @@ class TestSubsystemCounters:
         registry = MetricsRegistry()
         result = decompose(graph, config, registry=registry)
         assert result.metrics.restarts == 2
-        assert sum(registry.counter_values("kernel.mode.").values()) == 1.0
+        decisions = registry.counter_values("kernel.mode.", family="host")
+        assert sum(decisions.values()) == 1.0
 
     def test_service_counts_one_decision_per_batch(self):
         """A service attached with ``registry=`` counts its own batches."""
@@ -496,8 +503,9 @@ class TestSubsystemCounters:
             engine.apply_batch(insertions=[(0, 9)])
             engine.apply_batch(deletions=[(0, 1)])
             engine.apply_batch(insertions=[(0, 1)], deletions=[(0, 9)])
-        assert sum(registry.counter_values("kernel.mode.").values()) == 3.0
-        assert ambient.counter_values("kernel.") == {}
+        decisions = registry.counter_values("kernel.mode.", family="host")
+        assert sum(decisions.values()) == 3.0
+        assert ambient.counter_values("kernel.", family="host") == {}
 
     def test_graph_cache_counters(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_GRAPH_CACHE", str(tmp_path))
@@ -567,6 +575,106 @@ class TestSubsystemCounters:
             ]
         )
         assert strip(plain) == strip(observed)
+
+
+# ----------------------------------------------------------------------
+# The host family: shown by Prometheus and the dashboard, left out of
+# the snapshot and the trace
+# ----------------------------------------------------------------------
+def traced_engine(engine: str, graph: str) -> tuple[str, list[dict]]:
+    """The snapshot and the simulated-clock trace events of one run.
+
+    Host spans (pid 2, such as the shard pool's per-worker wall tracks)
+    are host data and are left out.
+    """
+    registry = MetricsRegistry(f"{engine}/{graph}", tracer=Tracer())
+    with observing(registry):
+        ENGINES[engine](load_graph(graph), DEFAULT_COST_MODEL)
+    events = to_perfetto(registry)["traceEvents"]
+    return render_json(registry), [e for e in events if e["pid"] == SIM_PID]
+
+
+def tiny_replay(graph: str, path: Path) -> tuple[str, str, str]:
+    """Snapshot, trace and exposition of a tiny ``graph`` serve replay."""
+    path.mkdir()
+    files = [path / name for name in ("obs.json", "trace.json", "prom")]
+    status = serve_main(
+        [
+            "--tiny", "--graph", graph,
+            "--metrics-output", str(files[0]),
+            "--trace", str(files[1]),
+            "--prom", str(files[2]),
+            "--output", str(path / "report.json"),
+        ]
+    )
+    assert status == 0
+    return tuple(file.read_text() for file in files)
+
+
+needs_native = pytest.mark.skipif(
+    NATIVE not in KERNEL_MODES, reason="the native kernels do not load"
+)
+
+
+class TestHostFamily:
+    def test_host_metrics_stay_out_of_the_snapshot(self):
+        registry, _ = observed_serve()
+        assert registry.value(f"kernel.mode.{KERNEL_MODES[-1]}") == 4.0
+        assert "kernel.mode." not in render_json(registry)
+        assert "repro_host_kernel_mode_" in render_prometheus(registry)
+        dashboard = render_dashboard(registry)
+        assert "[host]" in dashboard and "kernel.mode." in dashboard
+
+    @needs_native
+    @pytest.mark.parametrize("graph", sorted(GRAPH_BUILDERS))
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_kernel_modes_trace_alike(self, monkeypatch, engine, graph):
+        runs = []
+        for mode in (NATIVE, REFERENCE):
+            monkeypatch.setenv("REPRO_KERNELS", mode)
+            runs.append(traced_engine(engine, graph))
+        assert runs[0] == runs[1]
+
+    def test_pool_size_leaves_the_snapshot_alone(self):
+        from repro.shard import shard_coreness
+
+        graph = load_graph("grid-24")
+        snapshots = []
+        for workers in (0, 1, 2):
+            registry = MetricsRegistry("shard")
+            with observing(registry):
+                shard_coreness(graph, workers=workers)
+            assert registry.value("shard.workers") == workers
+            snapshots.append(render_json(registry))
+        assert snapshots[0] == snapshots[1] == snapshots[2]
+
+    @needs_native
+    def test_first_kernel_load_leaves_the_snapshot_alone(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.perf import native
+
+        # Unload the kernels: the first replay loads them again and
+        # counts the .so cache event; the second does not.
+        monkeypatch.setattr(native, "_available", None)
+        monkeypatch.setattr(native, "_lib", None)
+        first = tiny_replay("GRID", tmp_path / "first")
+        second = tiny_replay("GRID", tmp_path / "second")
+        assert "repro_host_cache_native_so_" in first[2]
+        assert "repro_host_cache_native_so_" not in second[2]
+        assert first[:2] == second[:2]
+
+    @needs_native
+    @pytest.mark.parametrize("graph", ["GRID", "LJ-S"])
+    def test_kernel_modes_replay_alike(self, tmp_path, monkeypatch, graph):
+        replays = {}
+        for mode in (NATIVE, REFERENCE):
+            monkeypatch.setenv("REPRO_KERNELS", mode)
+            replays[mode] = tiny_replay(graph, tmp_path / mode)
+            assert f"repro_host_kernel_mode_{mode}_total 12\n" in (
+                replays[mode][2]
+            )
+        assert replays[NATIVE][:2] == replays[REFERENCE][:2]
 
 
 # ----------------------------------------------------------------------

@@ -190,7 +190,7 @@ def test_report_schema(small_er):
         assert section in report, section
     # v2: registry-sourced histogram views next to the exact percentiles.
     hists = report["histograms"]
-    assert hists["obs_schema_version"] == 1
+    assert hists["obs_schema_version"] == 2
     assert hists["staleness_ns"]["count"] == report["events"]["queries"]
     assert hists["batch_size"]["count"] == report["events"]["batches"]
     assert (
@@ -254,6 +254,17 @@ def test_cli_tiny_smoke(tmp_path, capsys):
     status = serve_main(["--tiny", "--seed", "3"])
     assert status == 0
     assert json.loads(capsys.readouterr().out) == report
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_cli_rejects_non_positive_threads(tmp_path, capsys, threads):
+    output = tmp_path / "serve.json"
+    with pytest.raises(SystemExit) as exit_info:
+        serve_main(["--tiny", "--graph", "GRID", "--threads", threads,
+                    "--output", str(output)])
+    assert exit_info.value.code == 2
+    assert "--threads must be at least 1" in capsys.readouterr().err
+    assert not output.exists()
 
 
 def test_cli_trace_export(tmp_path, capsys):

@@ -412,7 +412,8 @@ class TestObservability:
         counters = registry.counter_values("shard.")
         assert counters["shard.rounds"] == result.metrics.rounds
         assert counters["shard.deltas"] > 0
-        assert counters["shard.bytes_shipped"] > 0
+        shipped = registry.counter_values("shard.", family="host")
+        assert shipped["shard.bytes_shipped"] > 0
 
     def test_report_is_worker_count_invariant(self, tmp_path, capsys):
         from repro.shard.cli import main

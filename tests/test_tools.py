@@ -1,6 +1,5 @@
-"""Tests for the repository tooling (API doc generator, trace compare)."""
+"""Tests for the repository tooling (the API doc generator)."""
 
-import json
 import sys
 from pathlib import Path
 
@@ -9,7 +8,6 @@ import pytest
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 sys.path.insert(0, str(TOOLS))
 
-import compare_traces  # noqa: E402
 import gen_api_docs  # noqa: E402
 
 
@@ -46,32 +44,3 @@ class TestApiDocs:
         assert "usage:" in capsys.readouterr().out
         assert list(tmp_path.iterdir()) == []
 
-
-class TestCompareTraces:
-    @staticmethod
-    def _write(path, events):
-        path.write_text(json.dumps({"traceEvents": events}))
-        return str(path)
-
-    def test_mode_tracks_are_ignored(self, tmp_path):
-        step = {"ph": "X", "name": "dyn_peel", "ts": 1.0, "dur": 2.0}
-        native = self._write(tmp_path / "n.json", [
-            step,
-            {"ph": "C", "name": "obs/kernel.mode.native", "ts": 3.0},
-            {"ph": "C", "name": "obs/cache.native_so.hit", "ts": 3.0},
-        ])
-        reference = self._write(tmp_path / "r.json", [
-            step,
-            {"ph": "C", "name": "obs/kernel.mode.reference", "ts": 3.0},
-        ])
-        assert compare_traces.main([native, reference]) == 0
-
-    def test_any_other_difference_fails(self, tmp_path, capsys):
-        first = self._write(tmp_path / "a.json", [
-            {"ph": "C", "name": "obs/dyn.batches", "ts": 1.0},
-        ])
-        second = self._write(tmp_path / "b.json", [
-            {"ph": "C", "name": "obs/dyn.batches", "ts": 2.0},
-        ])
-        assert compare_traces.main([first, second]) == 1
-        assert "differ at event 0" in capsys.readouterr().err
