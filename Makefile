@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint lint-changed bench bench-large bench-figures bench-updates bench-trend bench-shard examples clean loc regress regress-bless oracle oracle-updates oracle-shard serve-smoke obs-smoke shard-smoke trace
+.PHONY: install test lint lint-changed native-warnings bench bench-large bench-figures bench-updates bench-trend bench-shard examples clean loc regress regress-bless oracle oracle-updates oracle-shard serve-smoke obs-smoke shard-smoke trace
 
 install:
 	$(PYTHON) setup.py develop
@@ -15,6 +15,14 @@ LINT_ROOTS = src/ tests/ benchmarks/ examples/ tools/
 lint:
 	PYTHONPATH=src $(PYTHON) -m repro.lint $(LINT_ROOTS) \
 		--cache .lint-cache --baseline .lint-baseline.json
+
+# The embedded C kernels (repro.perf.native._SOURCE), compiled with
+# every warning an error; nothing is linked or kept.
+native-warnings:
+	PYTHONPATH=src $(PYTHON) -c "from repro.perf.native import _SOURCE; \
+		open('native-warnings.c', 'w').write(_SOURCE)"
+	$${CC:-gcc} -O2 -Wall -Wextra -Werror -fsyntax-only native-warnings.c; \
+		status=$$?; rm -f native-warnings.c; exit $$status
 
 # Analyze the whole program (cross-module rules need full context) but
 # report findings only for files changed relative to origin/main.

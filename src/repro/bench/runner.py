@@ -185,6 +185,10 @@ def _run_cell_with_obs(
         return payload, _counts(registry)
 
 
+#: Host counters of the suite's on-disk graph cache.
+_GRAPH_CACHE_COUNTERS = "cache.graph_npz."
+
+
 def cache_summary(registry: MetricsRegistry) -> dict[str, dict[str, int]]:
     """Per-cache event totals from the ``host`` ``cache.*`` counters.
 
@@ -256,10 +260,27 @@ def execute(
         cache.put(cell.key(), payload)
         resolved[cell] = ("miss", payload)
         if registry is not None:
+            # The graphs were resolved here; whatever a worker's own
+            # loads counted depends on the pool, not on the cells.
+            host = counters.get(HOST, {})
+            counters[HOST] = {
+                name: value
+                for name, value in host.items()
+                if not name.startswith(_GRAPH_CACHE_COUNTERS)
+            }
             _fold(registry, counters)
         note(cell, "ran", float(payload["wall"]["wall_s"]))
 
     if pending:
+        # Resolve each distinct graph once, in this process, before any
+        # cell runs: the graph cache's hit/miss counts then follow the
+        # cells, whatever the pool size or its start method (a forked
+        # worker inherits the loaded graphs).
+        with observing(registry):
+            for graph, size in dict.fromkeys(
+                (cell.graph, cell.size) for cell in pending
+            ):
+                suite.load(graph, size=size)
         if jobs is not None and jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 futures = {

@@ -181,7 +181,7 @@ def _run_once(
             model.scan_op, count=n, barriers=1, tag="init_degrees"
         )
     buckets = make_buckets(config.buckets)
-    buckets.build(graph, dtilde, peeled, runtime)
+    buckets.build(graph, dtilde, peeled, runtime, scratch)
 
     sampling: SamplingState | None = None
     if config.sampling:
@@ -226,7 +226,8 @@ def _run_once(
             if failures.size:
                 before = dtilde[failures]
                 # ``failures`` is a masked subset of the sorted
-                # ``np.nonzero(mode)`` scan — already canonical.
+                # sample-mode set (``sampling.sampled()``) — already
+                # canonical.
                 low = sampling.resample_bulk(failures, k, assume_unique=True)
                 survivors_mask = ~sorted_member_mask(failures, low)
                 survivors = failures[survivors_mask]

@@ -22,6 +22,7 @@ from repro.perf.kernels import (
 )
 from repro.primitives.bitops import sorted_member_mask, sorted_unique
 from repro.runtime.atomics import batch_decrement
+from repro.runtime.metrics import StepBlock
 
 
 class OnlinePeel:
@@ -150,12 +151,24 @@ class OnlinePeel:
             )
 
         # Contention accounting: concurrent updates per location across
-        # the whole subround (decrements and sampler hits alike).
-        runtime.parallel_update(
-            result.task_costs,
-            result.target_counts,
-            barriers=model.online_barriers,
-            tag="vgc_peel",
+        # the whole subround (decrements and sampler hits alike), priced
+        # as ``parallel_update`` prices them from the totals alone.
+        costs = result.task_costs
+        work = float(costs.sum()) + result.atomics * model.atomic_op
+        span = (float(costs.max()) if costs.size else 0.0) + (
+            result.contention * model.contended_atomic_op
+        )
+        runtime.charge_block(
+            StepBlock(
+                kind=["parallel_update"],
+                work=[work],
+                span=[span],
+                barriers=[model.online_barriers],
+                atomics=[result.atomics],
+                contention=[result.contention],
+                frontier=[-1],
+            ),
+            tags=["vgc_peel"],
         )
 
         resampled_low = np.zeros(0, dtype=np.int64)
@@ -164,16 +177,13 @@ class OnlinePeel:
                 state, result.saturated, k
             )
 
-        # Bucket updates for surviving touched vertices.
-        if result.touched.size:
-            survivors = (state.dtilde[result.touched] > k) & (
-                ~state.peeled[result.touched]
+        # Bucket updates for surviving touched vertices.  Resampling
+        # touches sample-mode vertices only, never a decremented one, so
+        # the survivors the task loop found still hold.
+        if result.survivors.size:
+            state.buckets.on_decrements(
+                result.survivors, result.survivor_keys
             )
-            if np.any(survivors):
-                state.buckets.on_decrements(
-                    result.touched[survivors],
-                    result.touched_old[survivors],
-                )
         return _merge_frontier(state, result.next_frontier, resampled_low)
 
     def _vgc_task_loop_reference(
@@ -242,26 +252,25 @@ class OnlinePeel:
                             next_frontier.append(u)
             task_costs[task_id] = cost
 
-        touched = np.fromiter(
-            first_seen_key.keys(), dtype=np.int64, count=len(first_seen_key)
-        )
-        olds = np.fromiter(
-            first_seen_key.values(),
-            dtype=np.int64,
-            count=len(first_seen_key),
-        )
+        survivors = [
+            u for u in first_seen_key if dtilde[u] > k and not peeled[u]
+        ]
         targets = np.asarray(decrement_targets + hit_targets, dtype=np.int64)
         if targets.size:
             _, counts = np.unique(targets, return_counts=True)
+            contention = int(counts.max())
         else:
-            counts = np.zeros(0, dtype=np.int64)
+            contention = 0
         return VGCTaskResult(
             task_costs=task_costs,
             next_frontier=np.asarray(next_frontier, dtype=np.int64),
             saturated=np.asarray(saturated, dtype=np.int64),
-            target_counts=counts,
-            touched=touched,
-            touched_old=olds,
+            atomics=int(targets.size),
+            contention=contention,
+            survivors=np.asarray(survivors, dtype=np.int64),
+            survivor_keys=np.asarray(
+                [first_seen_key[u] for u in survivors], dtype=np.int64
+            ),
             local_search_hits=local_search_hits,
             sample_draws=sample_draws,
             sample_hits=len(hit_targets),

@@ -109,6 +109,10 @@ class SamplingState:
         self.mode = np.zeros(n, dtype=bool)
         self.rate = np.zeros(n, dtype=np.float64)
         self.cnt = np.zeros(n, dtype=np.int64)
+        # Ascending vertices set_sampler_bulk switched on: a superset of
+        # the sample-mode set (vertices leave it lazily, in sampled()),
+        # so nothing scans all n mode bits per round.
+        self._switched_on = np.zeros(0, dtype=np.int64)
         #: Read access to the coreness array for the Las-Vegas check.
         self._coreness_view: np.ndarray | None = None
         self._skip_validation = False  # failure-injection hook for tests
@@ -136,6 +140,37 @@ class SamplingState:
             )
             self.cnt[chosen] = 0
             self.runtime.metrics.sampled_vertices += int(chosen.size)
+            self._switch_on(chosen)
+
+    def _switch_on(self, chosen: np.ndarray) -> None:
+        """Add ``chosen`` to the switched-on set (a no-op for members).
+
+        A resample re-installs samplers only on vertices that were in
+        sample mode, and members leave the set only in :meth:`sampled`,
+        so after the initial install this is a membership check.
+        """
+        on = self._switched_on
+        if on.size:
+            pos = np.minimum(np.searchsorted(on, chosen), on.size - 1)
+            chosen = chosen[on[pos] != chosen]
+            if chosen.size == 0:
+                return
+        self._switched_on = np.union1d(on, chosen)
+
+    def sampled(self) -> np.ndarray:
+        """The vertices in sample mode, ascending: ``np.nonzero(mode)[0]``.
+
+        Compacts the switched-on set to its members still in sample
+        mode, in time linear in the set, not in ``n``.
+        """
+        on = self._switched_on
+        on = on[self.mode[on]]
+        self._switched_on = on
+        return on
+
+    def active(self) -> bool:
+        """Whether any vertex may be in sample mode (exact when False)."""
+        return self._switched_on.size > 0 and bool(self.mode.any())
 
     def initialize(self) -> None:
         """SetSampler(v, 0) for every vertex (Alg. 4 line 2)."""
@@ -159,7 +194,7 @@ class SamplingState:
         under the hypothesis "the true degree already dropped to k"
         (Lem. 4.1 guarantees at least that many samples whp if it had).
         """
-        sampled = np.nonzero(self.mode)[0]
+        sampled = self.sampled()
         if sampled.size == 0:
             return sampled
         self.runtime.parallel_for(

@@ -142,7 +142,7 @@ def max_kcore_subgraph(
         # (over-)estimates; recount them exactly.  Any that fall below the
         # threshold resume the peel; once a full sweep finds none, every
         # survivor provably has induced degree >= k.
-        in_sample_mode = np.nonzero(sampling_state.mode)[0]
+        in_sample_mode = sampling_state.sampled()
         if in_sample_mode.size == 0:
             break
         low = sampling_state.resample_bulk(in_sample_mode, threshold)

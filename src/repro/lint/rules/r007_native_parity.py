@@ -3,7 +3,8 @@
 :mod:`repro.perf.native` embeds C transcriptions of the hot peel loops
 (the VGC task loop, the PKC chain drain, the fused scan/peel, the
 frontier scan, the sampling recount, the H-index round, the
-batch-dynamic insertion round) and drives them
+batch-dynamic insertion round, the HBS round step and DecreaseKey) and
+drives them
 through ``ctypes``; :mod:`repro.perf.kernels` prices the per-task
 counters they return with dyadic closed forms (``vertex_op * nv +
 edge_op * ne + ...``).  Nothing executes across that boundary at lint

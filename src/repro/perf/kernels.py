@@ -15,7 +15,9 @@ recount (:func:`recount_alive`).  The last three have no separate
 reference loop: outside ``native`` mode they evaluate the reference
 NumPy expression itself.  The batch-dynamic insertion repair runs one
 whole round, all its levels, in C (:func:`insertion_round_native`) and
-charges it as one ledger block.
+charges it as one ledger block, and so do the hierarchical bucketing
+structure's round step and DecreaseKey (:func:`hbs_next_round`,
+:func:`hbs_scatter`), whose reference is the ``HashBag`` structure.
 
 No kernel reads ``REPRO_KERNELS``: each branches on the mode its run
 resolved once and carries on its :class:`KernelScratch`.
@@ -40,7 +42,9 @@ The exactness argument of the VGC wrapper, per mechanism:
   vertex's first decrement of the subround; since nothing else mutates
   ``dtilde`` inside the task loop, that value is the post-kernel
   ``dtilde[u]`` plus the number of decrements ``u`` received, which the
-  kernel counts first-touch style.
+  kernel counts first-touch style and reduces, unsorted, to the
+  decrement total, the largest count and the survivors in first-touch
+  order (the reference's dictionary order).
 * **Cost accumulation.**  Per-task costs are accumulated as
   ``count * constant`` instead of repeated addition; this is exact
   because every pinned cost model uses dyadic-rational constants (see
@@ -87,6 +91,10 @@ class PointerCache:
             self._ptrs[id(array)] = entry
         return entry[1]
 
+    def forget(self) -> None:
+        """Drop every cached address (after replacing grown buffers)."""
+        self._ptrs.clear()
+
 
 class KernelScratch(PointerCache):
     """One run's graph, kernel ``mode`` and lazily allocated buffers.
@@ -112,6 +120,8 @@ class KernelScratch(PointerCache):
         self._count: np.ndarray | None = None
         self._touched: np.ndarray | None = None
         self._tasks: tuple[np.ndarray, ...] | None = None
+        self._old: np.ndarray | None = None
+        self._buckets: BucketScratch | None = None
         self._views: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def enc_buf(self) -> np.ndarray:
@@ -145,6 +155,18 @@ class KernelScratch(PointerCache):
             self._touched = np.empty(self._n, dtype=np.int64)
         return self._touched
 
+    def old_buf(self) -> np.ndarray:
+        """Per-vertex key buffer paired with :meth:`touched_buf`."""
+        if self._old is None:
+            self._old = np.empty(self._n, dtype=np.int64)
+        return self._old
+
+    def bucket_scratch(self) -> "BucketScratch":
+        """The buffers of the run's native HBS (one structure per run)."""
+        if self._buckets is None:
+            self._buckets = BucketScratch(self._n)
+        return self._buckets
+
     def task_bufs(self) -> tuple[np.ndarray, ...]:
         """Per-task ``(nv, ne, ns)`` counter buffers (frontier <= n)."""
         if self._tasks is None:
@@ -171,13 +193,14 @@ class VGCTaskResult:
         next_frontier: Crossing vertices denied absorption (each crossing
             fires exactly once per vertex per subround).
         saturated: Sample counters that reached ``mu`` this subround.
-        target_counts: Atomic-update multiplicities per distinct target
-            (decrements and sampler hits), in no specified order — the
-            subround's contention histogram.
-        touched: Distinct decremented vertices; ordering is not
-            specified (consumers are order-insensitive).
-        touched_old: ``dtilde`` value of each touched vertex before its
-            first decrement of the subround.
+        atomics: Atomic updates issued: decrements plus sampler hits.
+        contention: Most atomic updates on one vertex (decrement and hit
+            targets are disjoint: sample mode is fixed in a subround).
+        survivors: Decremented vertices still in the structure (unpeeled,
+            key above ``k``) in first-touch order; no consumer observes
+            the order (bucket copies are multisets).
+        survivor_keys: Each survivor's ``dtilde`` before its first
+            decrement of the subround.
         local_search_hits: Number of absorptions performed.
         sample_draws: Sampled edges seen (RNG draws) across all tasks.
         sample_hits: Draws that hit (incremented a sample counter).
@@ -186,9 +209,10 @@ class VGCTaskResult:
     task_costs: np.ndarray
     next_frontier: np.ndarray
     saturated: np.ndarray
-    target_counts: np.ndarray
-    touched: np.ndarray
-    touched_old: np.ndarray
+    atomics: int
+    contention: int
+    survivors: np.ndarray
+    survivor_keys: np.ndarray
     local_search_hits: int
     sample_draws: int = 0
     sample_hits: int = 0
@@ -204,7 +228,7 @@ def _sampling_arrays(state):
     RNG draws would occur), so the non-sampled fast path is exact.
     """
     sampling = state.sampling
-    if sampling is not None and bool(sampling.mode.any()):
+    if sampling is not None and sampling.active():
         return (
             sampling.mode,
             sampling.rate,
@@ -224,10 +248,11 @@ def vgc_peel_tasks_native(
 ) -> VGCTaskResult:
     """Run every local search of a VGC subround (compiled C kernel).
 
-    The C loop decrements, absorbs and records the sampled-encounter
-    stream in task-major order; the epilogue here replays the deferred
-    coin flips over that stream, applies the sampler hits, and builds
-    the subround's contention histogram.
+    The C loop decrements, absorbs, records the sampled-encounter stream
+    in task-major order and reduces its first-touch list (decrement
+    total, largest count, survivors with their old keys) without
+    sorting it; what is left here is replaying the deferred coin flips
+    over that stream and applying the sampler hits.
     """
     from repro.perf import native
 
@@ -235,57 +260,261 @@ def vgc_peel_tasks_native(
     model = state.runtime.model
     mode, rate, cnt, rng, mu = _sampling_arrays(state)
     scratch = state.scratch
-    enc, next_frontier, nv, ne, ns, ls_hits, marks = (
-        native.run_task_loop(
-            graph,
-            state.dtilde,
-            state.peeled,
-            state.coreness,
-            mode,
-            frontier,
-            k,
-            budget,
-            edge_budget,
-            scratch=scratch,
-        )
+    (
+        enc, next_frontier, nv, ne, ns, ls_hits, survivors, keys,
+        decrements, top,
+    ) = native.run_task_loop(
+        graph,
+        state.dtilde,
+        state.peeled,
+        state.coreness,
+        mode,
+        frontier,
+        k,
+        budget,
+        edge_budget,
+        scratch=scratch,
     )
     # Exact despite the reordering: counts stay well below 2**53 and the
     # pinned cost constants are dyadic rationals (docs/PERFORMANCE.md).
     task_costs = (
         model.vertex_op * nv + model.edge_op * ne + model.sample_flip_op * ns
     )
-    # The kernel counted decrements first-touch style into the scratch
-    # counters; sorting the distinct marks gives the sorted distinct
-    # targets without ever materializing the decrement stream.
-    count_arr = scratch.count_buf()
-    touched = np.sort(marks)
-    counts = count_arr[touched].copy()
-    count_arr[marks] = 0  # restore the all-zero invariant
-
     hits = _EMPTY
     if enc.size:
         hits = enc[rng.random(enc.size) < rate[enc]]
     saturated = _EMPTY
-    target_counts = counts
     if hits.size:
         hit_counts, saturated = batch_increment_clamped(cnt, hits, mu)
-        # Decrement targets (mode clear) and hit targets (mode set) are
-        # disjoint — mode never changes inside a subround — so the
-        # combined contention histogram is the two histograms side by
-        # side (the hit histogram is the one the clamped increment
-        # built).
-        target_counts = np.concatenate([counts, hit_counts])
+        top = max(top, int(hit_counts.max()))
     return VGCTaskResult(
         task_costs=task_costs,
         next_frontier=next_frontier,
         saturated=saturated,
-        target_counts=target_counts,
-        touched=touched,
-        touched_old=state.dtilde[touched] + counts,
+        atomics=decrements + int(hits.size),
+        contention=top,
+        survivors=survivors.copy(),
+        survivor_keys=keys.copy(),
         local_search_hits=ls_hits,
         sample_draws=int(enc.size),
         sample_hits=int(hits.size),
     )
+
+
+# ---------------------------------------------------------------------------
+# Hierarchical bucketing structure: round step and DecreaseKey in C
+# ---------------------------------------------------------------------------
+
+#: Ledger step and barriers of each HBS row tag (``hbs_*`` kernels).
+_HBS_TAGS = ("bag_extract", "bag_insert_many", "hbs_decreasekey")
+_HBS_BARRIERS = (1, 0, 0)
+
+
+class BucketScratch(PointerCache):
+    """The buffers of a run's native HBS (:mod:`repro.structures.hbs`).
+
+    Python owns every buffer and C never allocates.  The live layout is
+    a stack of slots in descending key order, front last: per slot the
+    interval bounds, the first and last block of its copy chain and its
+    copy count, plus an all-zero per-slot count scratch (``slots``).
+    Copies live in ``pool`` blocks of :attr:`BLOCK`, linked through
+    ``nxt``; ``state`` is ``[live slots, free-list head, free blocks]``.
+    ``rows`` are one call's ledger rows (tag, count), ``live``/``out``
+    per-vertex outputs of a round step and :meth:`ids_buf` the per-vertex
+    slot ids of a DecreaseKey.  A kernel that might overrun a buffer
+    says what it needs before it changes anything, and :meth:`grow`
+    makes that room (keeping the contents) before the wrapper resumes.
+    """
+
+    #: Copies per pool block (``HBS_BLOCK`` in the embedded source).
+    BLOCK = 256
+
+    def __init__(self, n: int) -> None:
+        super().__init__()
+        self.state = np.zeros(3, dtype=np.int64)
+        self.slots = tuple(np.zeros(64, dtype=np.int64) for _ in range(6))
+        self.pool = np.empty(0, dtype=np.int64)
+        self.nxt = np.empty(0, dtype=np.int64)
+        self.rows = tuple(np.empty(64, dtype=np.int64) for _ in range(2))
+        self.live = np.empty(n, dtype=np.int64)
+        self.out = np.empty(n, dtype=np.int64)
+        self._ids = np.empty(0, dtype=np.int64)
+
+    def reset(self, layout: list[tuple[int, int]], copies: int) -> None:
+        """Install ``layout`` (ascending intervals), every slot empty.
+
+        Every block returns to the free list, which is then grown to
+        hold ``copies`` copies spread over the layout.
+        """
+        nb = len(layout)
+        self.grow(0, nb, 0)
+        slo, shi, _, _, scount, _ = self.slots
+        slo[:nb] = [lo for lo, _ in reversed(layout)]
+        shi[:nb] = [hi for _, hi in reversed(layout)]
+        scount[:nb] = 0
+        blocks = self.nxt.size
+        self.nxt[:] = np.arange(1, blocks + 1)
+        if blocks:
+            self.nxt[-1] = -1
+        self.state[:] = (nb, 0 if blocks else -1, blocks)
+        self.grow(0, 0, copies // self.BLOCK + nb + 1)
+
+    def grow(self, rows: int, slots: int, free_blocks: int) -> None:
+        """Make room for ``rows`` rows, ``slots`` slots, free blocks."""
+        grown = False
+        if rows > self.rows[0].size:
+            self.rows = _grown(self.rows, rows)
+            grown = True
+        if slots > self.slots[0].size:
+            self.slots = _grown(self.slots, slots, fill=0)
+            grown = True
+        free = int(self.state[2])
+        if free_blocks > free:
+            old = self.nxt.size
+            add = max(free_blocks - free, old)
+            (self.nxt,) = _grown((self.nxt,), old + add)
+            (self.pool,) = _grown((self.pool,), (old + add) * self.BLOCK)
+            self.nxt[old:-1] = np.arange(old + 1, old + add)
+            self.nxt[-1] = self.state[1]
+            self.state[1] = old
+            self.state[2] = free + add
+            grown = True
+        if grown:
+            self.forget()
+
+    def ids_buf(self, size: int) -> np.ndarray:
+        """Per-vertex slot-id scratch of at least ``size`` entries."""
+        if self._ids.size < size:
+            self._ids = np.empty(max(size, 2 * self._ids.size), np.int64)
+            self.forget()
+        return self._ids
+
+
+def _grown(arrays, size: int, fill: int | None = None):
+    """Copies of ``arrays`` grown to ``max(size, 2 * len)``, contents kept."""
+    out = []
+    for array in arrays:
+        grown = np.empty(max(size, 2 * array.size), dtype=array.dtype)
+        grown[: array.size] = array
+        if fill is not None:
+            grown[array.size :] = fill
+        out.append(grown)
+    return tuple(out)
+
+
+def _charge_hbs_rows(runtime, buckets: BucketScratch, rows: int) -> None:
+    """Charge one HBS call's ledger rows as one block.
+
+    Each row is the ``parallel_for`` its reference step charges: a flat
+    unit per count (``bag_extract_op`` per scanned slot, one barrier;
+    ``bag_insert_op`` per copy; ``bucket_move_op`` per moved vertex),
+    span one unit.  The products are the reference's ``float(unit) *
+    count``, so the block is bit-identical.
+    """
+    if not rows:
+        return
+    model = runtime.model
+    units = (
+        float(model.bag_extract_op),
+        float(model.bag_insert_op),
+        float(model.bucket_move_op),
+    )
+    tag, count = buckets.rows
+    codes = tag[:rows].tolist()
+    span = [units[code] for code in codes]
+    runtime.charge_block(
+        StepBlock(
+            kind=["parallel_for"] * rows,
+            work=[unit * c for unit, c in zip(span, count[:rows].tolist())],
+            span=span,
+            barriers=[_HBS_BARRIERS[code] for code in codes],
+            atomics=[0] * rows,
+            contention=[0] * rows,
+            frontier=[-1] * rows,
+        ),
+        tags=[_HBS_TAGS[code] for code in codes],
+    )
+
+
+def hbs_load(
+    scratch: KernelScratch,
+    dtilde: np.ndarray,
+    vertices: np.ndarray,
+    layout: list[tuple[int, int]],
+    runtime,
+) -> BucketScratch:
+    """BuildBuckets of the native HBS: ``layout``, then one scatter.
+
+    Returns the run's :class:`BucketScratch`, holding the structure.
+    """
+    buckets = scratch.bucket_scratch()
+    buckets.reset(layout, int(vertices.size))
+    hbs_scatter(buckets, dtilde, vertices, None, runtime, charge_move=False)
+    return buckets
+
+
+def hbs_scatter(
+    buckets: BucketScratch,
+    dtilde: np.ndarray,
+    vertices: np.ndarray,
+    old_keys: np.ndarray | None,
+    runtime,
+    charge_move: bool = True,
+) -> None:
+    """DecreaseKey of the native HBS, charged as one ledger block.
+
+    A copy of each vertex goes to the bucket of its ``dtilde`` key where
+    that differs from its ``old_keys`` bucket (always without
+    ``old_keys``); ``charge_move`` charges the ``hbs_decreasekey`` step
+    first (the bulk load does not).  Raises ``ValueError`` on a key
+    below the layout, before anything changes.
+    """
+    from repro.perf import native
+
+    while True:
+        status, rows, need = native.run_hbs_decrease(
+            dtilde, vertices, old_keys, charge_move, buckets
+        )
+        if status != native.HBS_ROOM:
+            break
+        buckets.grow(*need)
+    if status == native.HBS_BELOW:
+        raise ValueError("key below the current interval layout")
+    _charge_hbs_rows(runtime, buckets, rows)
+
+
+def hbs_next_round(
+    scratch: KernelScratch,
+    buckets: BucketScratch,
+    dtilde: np.ndarray,
+    peeled: np.ndarray,
+    geometry: tuple[int, int],
+    runtime,
+) -> tuple[int, np.ndarray] | None:
+    """GetNextBucket of the native HBS, charged as one ledger block.
+
+    ``geometry`` is the hash bags' ``(lambda, chunk room)`` that prices
+    the extractions.  Returns ``(k, frontier)`` or ``None`` when the
+    structure is drained.
+    """
+    from repro.perf import native
+
+    lam, room = geometry
+    rows = 0
+    while True:
+        status, rows, k, size, need = native.run_hbs_next_round(
+            dtilde, peeled, scratch.count_buf(), buckets, lam, room, rows,
+            scratch,
+        )
+        if status != native.HBS_ROOM:
+            break
+        buckets.grow(*need)
+    _charge_hbs_rows(runtime, buckets, rows)
+    if status == native.HBS_BELOW:
+        raise ValueError("key below the current interval layout")
+    if status == native.HBS_FOUND:
+        return k, buckets.out[:size].copy()
+    return None
 
 
 # ---------------------------------------------------------------------------

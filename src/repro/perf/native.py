@@ -68,11 +68,13 @@ void vgc_peel_tasks(
     int64_t *enc_out,         /* sampled-edge encounters, stream order */
     int64_t *nf_out,          /* crossings denied absorption */
     int64_t *scratch,         /* all-zero per-vertex decrement counters */
-    int64_t *touched_out,     /* first-touch list, capacity >= n */
+    int64_t *touched_out,     /* survivors, first-touch order, >= n */
+    int64_t *old_out,         /* survivors' keys before the subround */
     int64_t *nv_out,          /* per task: queue items processed */
     int64_t *ne_out,          /* per task: edges seen */
     int64_t *ns_out,          /* per task: sampled edges seen */
-    int64_t *counters)        /* [enc, nf, local_search_hits, touched] */
+    int64_t *counters)        /* [enc, nf, local_search_hits, survivors,
+                                  decrements, largest count] */
 {
     int64_t ep = 0, fp = 0, ls = 0, tp = 0;
     int64_t k1 = k + 1;
@@ -112,10 +114,29 @@ void vgc_peel_tasks(
         ne_out[t] = ne;
         ns_out[t] = ns;
     }
+    /* Reduce the first-touch list without sorting it: the decrement
+     * total and the largest count (the subround's contention), the
+     * counters re-zeroed, and the touched vertices that stay in the
+     * structure (unpeeled, key still above k) with the key each had
+     * before its first decrement, kept in first-touch order in place. */
+    int64_t dec = 0, top = 0, sv = 0;
+    for (int64_t i = 0; i < tp; i++) {
+        int64_t u = touched_out[i], c = scratch[u];
+        scratch[u] = 0;
+        dec += c;
+        if (c > top)
+            top = c;
+        if (dtilde[u] > k && !peeled[u]) {
+            touched_out[sv] = u;
+            old_out[sv++] = dtilde[u] + c;
+        }
+    }
     counters[0] = ep;
     counters[1] = fp;
     counters[2] = ls;
-    counters[3] = tp;
+    counters[3] = sv;
+    counters[4] = dec;
+    counters[5] = top;
 }
 
 /* The PKC round drain (Kabir & Madduri 2017), transcribed from the
@@ -468,6 +489,355 @@ void scan_frontier(
     }
     counters[0] = fp;
 }
+
+/* The hierarchical bucketing structure (paper Sec. 5.2), transcribed
+ * from structures/hbs.py's HierarchicalBuckets over hash bags.  The
+ * live layout is a stack of slots in descending key order: slot nb-1
+ * is the front bucket, so a split pops it and pushes its refinement
+ * without moving the tail.  A slot keeps its interval [lo, hi], its
+ * copy list as a chain of HBS_BLOCK-copy blocks of the pooled `pool`
+ * (links in `nxt`; the free blocks are threaded through `nxt` from
+ * st[1]) and its copy count, which is also what the slot received
+ * since its last extraction, since extraction empties it.  That count
+ * t prices the extraction in closed form: a hash bag (chunks lam,
+ * 2 lam, 4 lam, ..., each filled to room = lam * load factor) that
+ * took t copies since its last extraction scans a prefix of
+ * lam * (2^(c+1) - 1) slots, c the smallest with
+ * room * (2^(c+1) - 1) >= t.  The ledger steps are written as rows in
+ * ledger order: tag 0 bag_extract (n: the prefix), 1 bag_insert_many
+ * (n: the copies), 2 hbs_decreasekey (n: the vertices moved).
+ * st: [nb live slots, free-list head, free blocks].  A call that might
+ * overrun a row, slot or block buffer returns HBS_ROOM with the sizes
+ * it needs before it changes anything; the caller grows the buffers
+ * and calls again, and the call resumes where it stopped.  HBS_OK:
+ * done (next_round: the structure is drained); HBS_FOUND: next_round
+ * returns a frontier; HBS_BELOW: a key lies below the front slot. */
+#define HBS_BLOCK 256
+#define HBS_OK 0
+#define HBS_FOUND 1
+#define HBS_ROOM 2
+#define HBS_BELOW 3
+
+/* The slot covering key: the first slot (largest lo) with lo <= key,
+ * or -1 below the front (searchsorted over the live lower bounds). */
+static int64_t hbs_find(const int64_t *slo, int64_t nb, int64_t key)
+{
+    if (nb == 0 || key < slo[nb - 1])
+        return -1;
+    int64_t a = 0, b = nb - 1;
+    while (a < b) {
+        int64_t mid = a + (b - a) / 2;
+        if (slo[mid] <= key)
+            b = mid;
+        else
+            a = mid + 1;
+    }
+    return a;
+}
+
+/* Whether slot s covers key (the next slot up starts above it). */
+static inline int hbs_covers(const int64_t *slo, int64_t s, int64_t key)
+{
+    return slo[s] <= key && (s == 0 || slo[s - 1] > key);
+}
+
+static int64_t hbs_prefix(int64_t t, int64_t lam, int64_t room)
+{
+    int64_t s = 1;
+    while (room * s < t)
+        s = 2 * s + 1;
+    return lam * s;
+}
+
+/* Append copy v to slot s (a block from the free list when its tail
+ * block is full). */
+static inline void hbs_push(
+    int64_t *sfirst, int64_t *slast, int64_t *scount,
+    int64_t *pool, int64_t *nxt, int64_t *st, int64_t s, int64_t v)
+{
+    int64_t c = scount[s], off = c % HBS_BLOCK;
+    if (off == 0) {
+        int64_t b = st[1];
+        st[1] = nxt[b];
+        st[2]--;
+        nxt[b] = -1;
+        if (c == 0)
+            sfirst[s] = b;
+        else
+            nxt[slast[s]] = b;
+        slast[s] = b;
+    }
+    pool[slast[s] * HBS_BLOCK + off] = v;
+    scount[s] = c + 1;
+}
+
+/* Scatter: a copy of every vs[i] with ids[i] >= 0 into slot ids[i],
+ * one bag_insert_many row per destination in ascending key order.
+ * cnt holds the per-slot counts on entry and is left all-zero. */
+static int64_t hbs_scatter(
+    const int64_t *vs, const int64_t *ids, int64_t m, int64_t nb,
+    int64_t *cnt, int64_t *sfirst, int64_t *slast, int64_t *scount,
+    int64_t *pool, int64_t *nxt, int64_t *st,
+    int64_t *row_tag, int64_t *row_n, int64_t rows)
+{
+    for (int64_t s = nb - 1; s >= 0; s--) {
+        if (cnt[s]) {
+            row_tag[rows] = 1;
+            row_n[rows++] = cnt[s];
+            cnt[s] = 0;
+        }
+    }
+    for (int64_t i = 0; i < m; i++)
+        if (ids[i] >= 0)
+            hbs_push(sfirst, slast, scount, pool, nxt, st, ids[i], vs[i]);
+    return rows;
+}
+
+/* Ascending sort of distinct vertex ids: LSD radix over bytes through
+ * tmp (capacity >= f), insertion sort when short. */
+static void hbs_sort(int64_t *a, int64_t f, int64_t *tmp)
+{
+    if (f < 64) {
+        for (int64_t i = 1; i < f; i++) {
+            int64_t v = a[i], j = i;
+            for (; j > 0 && a[j - 1] > v; j--)
+                a[j] = a[j - 1];
+            a[j] = v;
+        }
+        return;
+    }
+    int64_t top = 0;
+    for (int64_t i = 0; i < f; i++)
+        if (a[i] > top)
+            top = a[i];
+    int64_t *src = a, *dst = tmp;
+    for (int shift = 0; shift < 63 && (top >> shift) > 0; shift += 8) {
+        int64_t pos[257] = {0};
+        for (int64_t i = 0; i < f; i++)
+            pos[((src[i] >> shift) & 255) + 1]++;
+        for (int d = 1; d < 257; d++)
+            pos[d] += pos[d - 1];
+        for (int64_t i = 0; i < f; i++)
+            dst[pos[(src[i] >> shift) & 255]++] = src[i];
+        int64_t *swap = src;
+        src = dst;
+        dst = swap;
+    }
+    if (src != a)
+        for (int64_t i = 0; i < f; i++)
+            a[i] = src[i];
+}
+
+/* GetNextBucket: skip drained front slots, extract the front one, drop
+ * peeled vertices and duplicate copies (first-touch marks, re-zeroed),
+ * and either return the live members of a single-key slot whose key
+ * equals lo, ascending, or split a range slot into interval_layout(lo,
+ * hi) clipped to hi, rescatter its live members by their current keys
+ * and go on. */
+void hbs_next_round(
+    const int64_t *dtilde,
+    const uint8_t *peeled,
+    int64_t *slo,             /* per slot: interval bounds */
+    int64_t *shi,
+    int64_t *sfirst,          /* per slot: first and last block */
+    int64_t *slast,
+    int64_t *scount,          /* per slot: copies held */
+    int64_t *scnt,            /* all-zero per-slot counts */
+    int64_t slot_cap,
+    int64_t *pool,            /* HBS_BLOCK copies per block */
+    int64_t *nxt,             /* per block: next block, -1 at the end */
+    int64_t *st,              /* [nb, free head, free blocks] */
+    int64_t lam,
+    int64_t room,
+    int64_t *marks,           /* all-zero per vertex, left all-zero */
+    int64_t *live,            /* capacity >= n */
+    int64_t *out,             /* capacity >= n */
+    int64_t *row_tag,
+    int64_t *row_n,
+    int64_t row_cap,
+    int64_t rows,             /* rows already written by this call */
+    int64_t *counters)        /* [status, rows, k, frontier, need rows,
+                                  need slots, need free blocks] */
+{
+    int64_t nb = st[0], status = HBS_OK, k = 0, f = 0;
+    int64_t rlo[128], rhi[128];
+    counters[4] = counters[5] = counters[6] = 0;
+    for (;;) {
+        while (nb > 0 && scount[nb - 1] == 0)
+            nb--;
+        if (nb == 0)
+            break;
+        int64_t s = nb - 1, lo = slo[s], hi = shi[s], t = scount[s];
+        int64_t r = 0;
+        if (lo != hi) {
+            for (int64_t i = 0; i < 8 && lo + i <= hi; i++, r++)
+                rlo[r] = rhi[r] = lo + i;
+            for (int64_t a = lo + 8, w = 8; a <= hi; w *= 2) {
+                rlo[r] = a;
+                rhi[r++] = hi - a < w ? hi : a + w - 1;
+                if (hi - a < w)
+                    break;
+                a += w;
+            }
+        }
+        if (rows + 1 + r > row_cap || s + r > slot_cap || st[2] < r) {
+            status = HBS_ROOM;
+            counters[4] = rows + 1 + r;
+            counters[5] = s + r;
+            counters[6] = r;
+            break;
+        }
+        row_tag[rows] = 0;
+        row_n[rows++] = hbs_prefix(t, lam, room);
+        int64_t nl = 0, left = t, b = sfirst[s];
+        while (left > 0) {
+            int64_t take = left < HBS_BLOCK ? left : HBS_BLOCK;
+            const int64_t *blk = pool + b * HBS_BLOCK;
+            for (int64_t i = 0; i < take; i++) {
+                int64_t v = blk[i];
+                if (!peeled[v] && !marks[v]) {
+                    marks[v] = 1;
+                    live[nl++] = v;
+                }
+            }
+            left -= take;
+            if (left > 0)
+                b = nxt[b];
+        }
+        nxt[slast[s]] = st[1];
+        st[1] = sfirst[s];
+        st[2] += (t + HBS_BLOCK - 1) / HBS_BLOCK;
+        scount[s] = 0;
+        for (int64_t i = 0; i < nl; i++)
+            marks[live[i]] = 0;
+        if (nl == 0)
+            continue;
+        if (lo == hi) {
+            for (int64_t i = 0; i < nl; i++)
+                if (dtilde[live[i]] == lo)
+                    out[f++] = live[i];
+            if (f) {
+                hbs_sort(out, f, live);
+                status = HBS_FOUND;
+                k = lo;
+                break;
+            }
+            continue;
+        }
+        /* Split: slot s + j holds refined interval r - 1 - j. */
+        for (int64_t j = 0; j < r; j++) {
+            slo[s + j] = rlo[r - 1 - j];
+            shi[s + j] = rhi[r - 1 - j];
+            scount[s + j] = 0;
+        }
+        nb = s + r;
+        for (int64_t i = 0; i < nl; i++) {
+            int64_t id = hbs_find(slo, nb, dtilde[live[i]]);
+            if (id < 0) {
+                status = HBS_BELOW;
+                break;
+            }
+            out[i] = id;
+            scnt[id]++;
+        }
+        if (status == HBS_BELOW) {
+            for (int64_t j = 0; j < nb; j++)
+                scnt[j] = 0;
+            break;
+        }
+        rows = hbs_scatter(live, out, nl, nb, scnt, sfirst, slast, scount,
+                           pool, nxt, st, row_tag, row_n, rows);
+    }
+    st[0] = nb;
+    counters[0] = status;
+    counters[1] = rows;
+    counters[2] = k;
+    counters[3] = f;
+}
+
+/* DecreaseKey (batched) and the bulk load: a copy of each vertex into
+ * the slot covering its current key, only where that slot differs from
+ * the one covering its old key (every vertex when old_keys is NULL).
+ * With charge_move, an hbs_decreasekey row for the moved vertices
+ * comes first (none when nothing moved).  A key below the front slot
+ * returns HBS_BELOW before anything changes. */
+void hbs_decrease(
+    const int64_t *dtilde,
+    const int64_t *vertices,
+    int64_t m,
+    const int64_t *old_keys,  /* NULL: insert every vertex */
+    int64_t charge_move,
+    int64_t *slo,
+    int64_t *sfirst,
+    int64_t *slast,
+    int64_t *scount,
+    int64_t *scnt,            /* all-zero per-slot counts */
+    int64_t *pool,
+    int64_t *nxt,
+    int64_t *st,
+    int64_t *ids,             /* capacity >= m */
+    int64_t *row_tag,
+    int64_t *row_n,
+    int64_t row_cap,
+    int64_t *counters)        /* [status, rows, need rows,
+                                  need free blocks] */
+{
+    int64_t nb = st[0], moved = 0, dests = 0, status = HBS_OK;
+    counters[1] = counters[2] = counters[3] = 0;
+    if (m == 0 || nb == 0) {
+        counters[0] = status;
+        return;
+    }
+    /* A batch's keys cluster: try the previous vertex's slot, and the
+     * new key's slot for the old key, before searching. */
+    int64_t id = nb - 1;
+    for (int64_t i = 0; i < m; i++) {
+        int64_t key = dtilde[vertices[i]];
+        if (!hbs_covers(slo, id, key))
+            id = hbs_find(slo, nb, key);
+        if (id < 0) {
+            status = HBS_BELOW;
+            break;
+        }
+        if (old_keys) {
+            int64_t old = old_keys[i];
+            int64_t was = hbs_covers(slo, id, old) ? id
+                                                   : hbs_find(slo, nb, old);
+            if (was < 0) {
+                status = HBS_BELOW;
+                break;
+            }
+            if (was == id) {
+                ids[i] = -1;
+                continue;
+            }
+        }
+        ids[i] = id;
+        dests += scnt[id]++ == 0;
+        moved++;
+    }
+    int64_t rows = charge_move + dests;
+    int64_t blocks = moved / HBS_BLOCK + dests + 1;
+    if (status == HBS_OK && (rows > row_cap || st[2] < blocks)) {
+        status = HBS_ROOM;
+        counters[2] = rows;
+        counters[3] = blocks;
+    }
+    if (status != HBS_OK || moved == 0) {
+        for (int64_t j = 0; j < nb; j++)
+            scnt[j] = 0;
+        counters[0] = status;
+        return;
+    }
+    rows = 0;
+    if (charge_move) {
+        row_tag[rows] = 2;
+        row_n[rows++] = moved;
+    }
+    counters[1] = hbs_scatter(vertices, ids, m, nb, scnt, sfirst, slast,
+                              scount, pool, nxt, st, row_tag, row_n, rows);
+    counters[0] = status;
+}
 """
 
 #: Per-task counter outputs of the C kernel (``<name>_out`` parameters)
@@ -583,13 +953,15 @@ def _load() -> ctypes.CDLL | None:
         dirty = lib.mark_dirty
         recount = lib.recount_alive
         round_ = lib.insertion_round
+        hbs_next = lib.hbs_next_round
+        hbs_dec = lib.hbs_decrease
     except (OSError, AttributeError) as exc:
         _available, _failure = False, str(exc)
         return None
     fn.restype = None
     fn.argtypes = [ctypes.c_void_p] * 7 + [ctypes.c_int64] * 4 + [
         ctypes.c_void_p
-    ] * 9
+    ] * 10
     pkc.restype = None
     pkc.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_int64] * 3 + [
         ctypes.c_void_p
@@ -618,6 +990,18 @@ def _load() -> ctypes.CDLL | None:
     round_.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_int64] * 7 + [
         ctypes.c_void_p
     ] * 13
+    hbs_next.restype = None
+    hbs_next.argtypes = (
+        [ctypes.c_void_p] * 8 + [ctypes.c_int64] + [ctypes.c_void_p] * 3
+        + [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 5
+        + [ctypes.c_int64] * 2 + [ctypes.c_void_p]
+    )
+    hbs_dec.restype = None
+    hbs_dec.argtypes = (
+        [ctypes.c_void_p] * 2 + [ctypes.c_int64] + [ctypes.c_void_p]
+        + [ctypes.c_int64] + [ctypes.c_void_p] * 11 + [ctypes.c_int64]
+        + [ctypes.c_void_p]
+    )
     _lib = lib
     _available = True
     return _lib
@@ -688,17 +1072,20 @@ def run_task_loop(
     edge_budget: int,
     scratch,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-           int, np.ndarray]:
+           int, np.ndarray, np.ndarray, int, int]:
     """Run every local search of a subround in the compiled kernel.
 
     Mutates ``dtilde`` / ``peeled`` / ``coreness`` exactly like the
     reference loop and returns ``(enc, next_frontier, nv, ne, ns,
-    local_search_hits, marks)`` where ``enc`` is the sampled-encounter
-    stream in task-major order, ``nv`` / ``ne`` / ``ns`` are the
-    per-task item / edge / sampled-edge counts, and ``marks`` is the
-    first-touch list of distinct decrement targets whose multiplicities
-    the kernel accumulated into the scratch count buffer (the caller
-    reads and re-zeros them).  The flat buffers come from the run's
+    local_search_hits, survivors, survivor_keys, decrements, top)``
+    where ``enc`` is the sampled-encounter stream in task-major order,
+    ``nv`` / ``ne`` / ``ns`` are the per-task item / edge / sampled-edge
+    counts, ``survivors`` are the decremented vertices that stay in the
+    structure (unpeeled, key above ``k``) in first-touch order with
+    their keys before the subround, ``decrements`` is the number of
+    decrements and ``top`` the most any vertex received.  The kernel
+    counts decrements in the scratch count buffer and leaves it
+    all-zero.  The flat buffers come from the run's
     :class:`repro.perf.kernels.KernelScratch` arena: the returned
     streams are views valid until the next kernel call on it.  C reads
     the row of every ``frontier`` id, so the ids are checked first, in
@@ -711,14 +1098,15 @@ def run_task_loop(
     # item sets of distinct tasks are disjoint, so the encounter stream is
     # bounded by the degree sum of all vertices — indices.size.  Denied
     # crossings are bounded by one crossing per vertex per subround.
-    counters = np.zeros(4, dtype=np.int64)
+    counters = np.zeros(6, dtype=np.int64)
     # Buffer *and* pointer reuse: the run-stable arrays go through the
     # scratch pointer cache, so the per-subround call pays two ctypes
-    # conversions (frontier, counters) instead of sixteen.
+    # conversions (frontier, counters) instead of seventeen.
     sp = scratch.ptr
     enc = scratch.enc_buf() if mode is not None else _NO_ENC
     nf = scratch.nf_buf()
     touched = scratch.touched_buf()
+    old = scratch.old_buf()
     nv_all, ne_all, ns_all = scratch.task_bufs()
     lib.vgc_peel_tasks(
         sp(graph.indptr),
@@ -737,12 +1125,13 @@ def run_task_loop(
         sp(nf),
         sp(scratch.count_buf()),
         sp(touched),
+        sp(old),
         sp(nv_all),
         sp(ne_all),
         sp(ns_all),
         _ptr(counters),
     )
-    ep, fp, ls, tp = (int(x) for x in counters)
+    ep, fp, ls, sv, dec, top = counters.tolist()
     return (
         enc[:ep] if mode is not None else enc,
         nf[:fp].copy(),
@@ -750,7 +1139,10 @@ def run_task_loop(
         ne_all[:n_tasks],
         ns_all[:n_tasks],
         ls,
-        touched[:tp],
+        touched[:sv],
+        old[:sv],
+        dec,
+        top,
     )
 
 
@@ -1065,3 +1457,132 @@ def run_insertion_round(
         tuple(column[:used] for column in rows),
         contention[:cp],
     )
+
+
+#: Status codes of the HBS kernels (``HBS_*`` in the embedded source).
+HBS_OK, HBS_FOUND, HBS_ROOM, HBS_BELOW = 0, 1, 2, 3
+
+
+def run_hbs_next_round(
+    dtilde: np.ndarray,
+    peeled: np.ndarray,
+    marks: np.ndarray,
+    buckets,
+    lam: int,
+    room: int,
+    rows: int,
+    scratch,
+) -> tuple[int, int, int, int, tuple[int, int, int]]:
+    """One GetNextBucket of the native HBS, in C.
+
+    ``buckets`` is the run's :class:`repro.perf.kernels.BucketScratch`;
+    ``lam`` and ``room`` are the hash-bag geometry the extraction rows
+    are priced with; ``marks`` is the run's all-zero per-vertex counter
+    array, left all-zero; ``rows`` ledger rows are already written (a
+    resumed call appends to them).  Returns ``(status, rows, k,
+    frontier, need)``: an ``HBS_*`` status, the rows written, the
+    round's key and the frontier's length in ``buckets.out`` on
+    ``HBS_FOUND``, and, on ``HBS_ROOM``, the row, slot and free-block
+    counts the call needs before it can go on (it changed nothing
+    since the last row it wrote).  C indexes ``dtilde``, ``peeled`` and
+    ``marks`` by vertex and writes up to ``n`` vertices to the
+    structure's ``live`` and ``out`` buffers, so those layouts and
+    capacities are checked first, in ``O(1)``.
+    """
+    lib = _loaded()
+    _check_array("dtilde", dtilde, np.int64)
+    n = int(dtilde.size)
+    _check_array("peeled", peeled, np.bool_, n)
+    _check_array("marks", marks, np.int64, n)
+    for name in ("live", "out"):
+        if getattr(buckets, name).size < n:
+            raise ValueError(f"{name} holds fewer than {n} vertices")
+    slo, shi, sfirst, slast, scount, scnt = buckets.slots
+    tag, count = buckets.rows
+    counters = np.zeros(7, dtype=np.int64)
+    sp = scratch.ptr
+    bp = buckets.ptr
+    lib.hbs_next_round(
+        sp(dtilde),
+        sp(scratch.u8(peeled)),
+        bp(slo),
+        bp(shi),
+        bp(sfirst),
+        bp(slast),
+        bp(scount),
+        bp(scnt),
+        int(slo.size),
+        bp(buckets.pool),
+        bp(buckets.nxt),
+        bp(buckets.state),
+        int(lam),
+        int(room),
+        sp(marks),
+        bp(buckets.live),
+        bp(buckets.out),
+        bp(tag),
+        bp(count),
+        int(tag.size),
+        int(rows),
+        _ptr(counters),
+    )
+    status, used, k, size, need_rows, need_slots, need_blocks = (
+        counters.tolist()
+    )
+    return status, used, k, size, (need_rows, need_slots, need_blocks)
+
+
+def run_hbs_decrease(
+    dtilde: np.ndarray,
+    vertices: np.ndarray,
+    old_keys: np.ndarray | None,
+    charge_move: bool,
+    buckets,
+) -> tuple[int, int, tuple[int, int, int]]:
+    """A DecreaseKey batch (or the bulk load) of the native HBS, in C.
+
+    Inserts a copy of each vertex into the slot covering its current
+    ``dtilde`` key, where that slot differs from the one covering its
+    ``old_keys`` entry (every vertex without ``old_keys``), and writes
+    the ledger rows from the first one on.  Returns ``(status, rows,
+    need)``: an ``HBS_*`` status, the rows written and, on
+    ``HBS_ROOM``, the row count and free blocks it needs (0 slots; the
+    call changed nothing).  C reads ``dtilde`` at every vertex and one
+    old key per vertex, so the ids, the layouts and the lengths are
+    checked first, in ``O(|vertices|)``.
+    """
+    lib = _loaded()
+    _check_array("dtilde", dtilde, np.int64)
+    vertices = _check_ids("vertices", vertices, int(dtilde.size))
+    m = int(vertices.size)
+    if old_keys is not None:
+        old_keys = np.ascontiguousarray(old_keys, dtype=np.int64)
+        if old_keys.shape != (m,):
+            raise ValueError(f"old_keys must hold one key per vertex ({m})")
+    ids = buckets.ids_buf(m)
+    slo, _, sfirst, slast, scount, scnt = buckets.slots
+    tag, count = buckets.rows
+    counters = np.zeros(4, dtype=np.int64)
+    bp = buckets.ptr
+    lib.hbs_decrease(
+        bp(dtilde),
+        _ptr(vertices),
+        m,
+        _ptr(old_keys),
+        int(charge_move),
+        bp(slo),
+        bp(sfirst),
+        bp(slast),
+        bp(scount),
+        bp(scnt),
+        bp(buckets.pool),
+        bp(buckets.nxt),
+        bp(buckets.state),
+        bp(ids),
+        bp(tag),
+        bp(count),
+        int(tag.size),
+        _ptr(counters),
+    )
+    status, used, need_rows, need_blocks = counters.tolist()
+    return status, used, (need_rows, 0, need_blocks)

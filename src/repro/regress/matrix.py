@@ -76,6 +76,12 @@ GRAPH_BUILDERS: dict[str, Callable[[], CSRGraph]] = {
     "road-600": lambda: road_like(600, seed=103),
     "knn-400": lambda: knn_graph(400, 4, dim=3, clusters=8, seed=104),
     "hcns-64": lambda: hcns(64),
+    # Dense from round one (average degree 42): ``ours`` uses the HBS
+    # throughout, resamples, moves vertices between intervals and splits
+    # a range bucket, which none of the graphs above does together.
+    "hub-700": lambda: power_law_with_hub(
+        700, 20, hub_count=3, hub_degree=350, seed=106
+    ),
 }
 
 #: Pinned cost-model variants.  ``default`` is the paper's model; the two

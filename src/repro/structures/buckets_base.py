@@ -24,6 +24,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
+from repro.perf.kernels import KernelScratch
 from repro.runtime.simulator import SimRuntime
 
 
@@ -37,6 +38,7 @@ class BucketStructure(ABC):
         self.dtilde: np.ndarray | None = None
         self.peeled: np.ndarray | None = None
         self.runtime: SimRuntime | None = None
+        self.scratch: KernelScratch | None = None
 
     def build(
         self,
@@ -44,6 +46,7 @@ class BucketStructure(ABC):
         dtilde: np.ndarray,
         peeled: np.ndarray,
         runtime: SimRuntime,
+        scratch: KernelScratch | None = None,
     ) -> None:
         """Initialize from the full vertex set (BuildBuckets).
 
@@ -52,10 +55,14 @@ class BucketStructure(ABC):
             dtilde: Shared induced-degree array; mutated by the peel.
             peeled: Shared boolean array; True once a vertex is peeled.
             runtime: Simulated runtime to charge structure costs to.
+            scratch: The run's kernel scratch; a structure with a native
+                twin runs it when the run's mode is ``native`` (without
+                one, the reference flavour runs).
         """
         self.dtilde = dtilde
         self.peeled = peeled
         self.runtime = runtime
+        self.scratch = scratch
         self._build(graph)
 
     @abstractmethod

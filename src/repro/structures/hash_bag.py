@@ -26,6 +26,11 @@ DEFAULT_LAMBDA = 256
 #: Chunk load factor at which insertion moves on to the next chunk.
 LOAD_FACTOR = 0.75
 
+#: Elements a chunk of ``DEFAULT_LAMBDA`` slots takes before insertion
+#: moves on (chunk ``c`` of ``DEFAULT_LAMBDA * 2**c`` slots takes
+#: ``CHUNK_ROOM * 2**c``: ``DEFAULT_LAMBDA * LOAD_FACTOR`` is whole).
+CHUNK_ROOM = math.ceil(DEFAULT_LAMBDA * LOAD_FACTOR)
+
 _EMPTY = -1
 
 
@@ -34,6 +39,21 @@ def _mix(value: int) -> int:
     value = (value ^ (value >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
     value = (value ^ (value >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
     return value ^ (value >> 31)
+
+
+def extract_prefix(inserted: int) -> int:
+    """:attr:`HashBag.used_prefix` of a default bag after ``inserted``.
+
+    The closed form of the chunk geometry: a bag that took ``inserted``
+    elements since its last extraction has filled chunks ``0..c``, ``c``
+    the smallest with ``CHUNK_ROOM * (2**(c+1) - 1) >= inserted``, and
+    scans their ``DEFAULT_LAMBDA * (2**(c+1) - 1)`` slots, whatever its
+    capacity (insertion only moves to a chunk it has elements for).
+    """
+    chunks = 1  # 2**(c+1) - 1
+    while CHUNK_ROOM * chunks < inserted:
+        chunks = 2 * chunks + 1
+    return DEFAULT_LAMBDA * chunks
 
 
 class HashBag:

@@ -32,9 +32,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
+from repro.perf import NATIVE
+from repro.perf.kernels import hbs_load, hbs_next_round, hbs_scatter
 from repro.primitives.bitops import bit_length64, sorted_unique
 from repro.structures.buckets_base import BucketStructure
-from repro.structures.hash_bag import HashBag
+from repro.structures.hash_bag import CHUNK_ROOM, DEFAULT_LAMBDA, HashBag
 from repro.structures.single_bucket import SingleBucket
 
 #: Number of leading single-key buckets in each (re)fined layout.
@@ -95,7 +97,13 @@ def bucket_indices(keys: np.ndarray, base: int) -> np.ndarray:
 
 
 class HierarchicalBuckets(BucketStructure):
-    """The hierarchical bucketing structure over parallel hash bags."""
+    """The hierarchical bucketing structure over parallel hash bags.
+
+    Under a ``native`` run scratch the same structure runs in C
+    (:func:`repro.perf.kernels.hbs_next_round` and friends): a round
+    step or a DecreaseKey batch is one call, and its ledger steps one
+    block.  The ``HashBag`` flavour below is the reference.
+    """
 
     name = "hbs"
 
@@ -112,6 +120,8 @@ class HierarchicalBuckets(BucketStructure):
         self._head = 0
         self._los: np.ndarray = np.zeros(0, dtype=np.int64)
         self._capacity = 1
+        #: The native twin's buffers, once loaded under a native scratch.
+        self._native = None
 
     # ------------------------------------------------------------------
     def _build(self, graph: CSRGraph) -> None:
@@ -129,7 +139,13 @@ class HierarchicalBuckets(BucketStructure):
         max_key = (
             int(self.dtilde[vertices].max()) if vertices.size else base
         )
-        self._set_intervals(interval_layout(base, max_key))
+        layout = interval_layout(base, max_key)
+        if self.scratch is not None and self.scratch.mode == NATIVE:
+            self._native = hbs_load(
+                self.scratch, self.dtilde, vertices, layout, self.runtime
+            )
+            return
+        self._set_intervals(layout)
         if vertices.size:
             self._scatter(vertices, self.dtilde[vertices])
 
@@ -206,6 +222,11 @@ class HierarchicalBuckets(BucketStructure):
     # ------------------------------------------------------------------
     def next_round(self) -> tuple[int, np.ndarray] | None:
         assert self.dtilde is not None and self.peeled is not None
+        if self._native is not None:
+            return hbs_next_round(
+                self.scratch, self._native, self.dtilde, self.peeled,
+                (DEFAULT_LAMBDA, CHUNK_ROOM), self.runtime,
+            )
         while True:
             # Skip drained front buckets (their key ranges are consumed) by
             # advancing the head index — O(1) per drop.
@@ -238,6 +259,11 @@ class HierarchicalBuckets(BucketStructure):
         self, vertices: np.ndarray, old_keys: np.ndarray | None = None
     ) -> None:
         assert self.dtilde is not None and self.runtime is not None
+        if self._native is not None:
+            hbs_scatter(
+                self._native, self.dtilde, vertices, old_keys, self.runtime
+            )
+            return
         vertices = np.asarray(vertices, dtype=np.int64)
         if vertices.size == 0 or self._head >= len(self._bags):
             return
@@ -292,9 +318,13 @@ class AdaptiveHBS(BucketStructure):
         assert self.runtime is not None
         self._use_hbs = graph.average_degree > self.theta
         if self._use_hbs:
-            self._hbs.build(graph, self.dtilde, self.peeled, self.runtime)
+            self._hbs.build(
+                graph, self.dtilde, self.peeled, self.runtime, self.scratch
+            )
         else:
-            self._plain.build(graph, self.dtilde, self.peeled, self.runtime)
+            self._plain.build(
+                graph, self.dtilde, self.peeled, self.runtime, self.scratch
+            )
 
     def _switch_to_hbs(self, k: int) -> None:
         """Hand the plain strategy's surviving active set to an HBS."""
@@ -309,6 +339,7 @@ class AdaptiveHBS(BucketStructure):
         self._hbs.dtilde = self.dtilde
         self._hbs.peeled = self.peeled
         self._hbs.runtime = self.runtime
+        self._hbs.scratch = self.scratch
         self._hbs.load(survivors, base=k)
         self._use_hbs = True
 

@@ -146,6 +146,32 @@ class TestRunner:
         ]
         assert fingerprint(inline) == fingerprint(pooled)
 
+    def test_graph_cache_summary_independent_of_jobs(
+        self, tmp_path, monkeypatch
+    ):
+        """Cold runs report the same ``summary.caches`` inline and pooled."""
+        from repro.generators import suite
+
+        cells = [
+            BenchCell(engine, graph, size="tiny")
+            for engine in ("ours", "bz")
+            for graph in ("GRID", "LJ-S")
+        ]
+        caches = []
+        for jobs in (1, 2, 2):
+            monkeypatch.setenv(
+                "REPRO_GRAPH_CACHE", str(tmp_path / f"graphs-{len(caches)}")
+            )
+            suite.load.cache_clear()
+            report = execute(
+                cells, jobs=jobs,
+                cache=DiskCache(tmp_path / f"cells-{len(caches)}"),
+            )
+            caches.append(report["summary"]["caches"])
+        suite.load.cache_clear()
+        assert caches[0]["graph_npz"] == {"miss": 2}
+        assert caches[0] == caches[1] == caches[2]
+
     def test_default_cell_runs_reference_without_compiler(
         self, monkeypatch, no_compiler
     ):

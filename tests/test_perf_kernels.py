@@ -17,6 +17,7 @@ from repro.core.framework import FrameworkConfig, decompose
 from repro.core.sampling import SamplingConfig
 from repro.generators import (
     barabasi_albert,
+    empty_graph,
     erdos_renyi,
     grid_2d,
     hcns,
@@ -32,6 +33,7 @@ from repro.perf import (
     kernel_mode,
     native_available,
 )
+from repro.perf.kernels import KernelScratch
 from repro.runtime.cost_model import DEFAULT_COST_MODEL
 
 #: One randomized builder per generator family (seeded — the *pair* of
@@ -60,6 +62,16 @@ CONFIGS = {
     "vgc-sample-eager": FrameworkConfig(
         vgc=True,
         sampling=True,
+        sampling_config=SamplingConfig(mu=4, threshold=8),
+    ),
+    # ``adaptive`` stays in its plain phase on every family but hcns;
+    # ``hbs`` runs the structure (native and reference) from round one,
+    # and the eager sampler adds resample and rejection DecreaseKeys.
+    "vgc-hbs": FrameworkConfig(vgc=True, buckets="hbs"),
+    "vgc-sample-eager-hbs": FrameworkConfig(
+        vgc=True,
+        sampling=True,
+        buckets="hbs",
         sampling_config=SamplingConfig(mu=4, threshold=8),
     ),
     "flat": FrameworkConfig(),
@@ -356,3 +368,198 @@ def test_flat_kernels_reject_bad_input(case):
     with pytest.raises(error, match=name):
         _flat_kernel_call(kernel, graph, **overrides)
     assert np.array_equal(dtilde, graph.degrees)
+
+
+# ---------------------------------------------------------------------------
+# The native HBS: closed-form extraction prices, sorted frontiers, checks
+# ---------------------------------------------------------------------------
+
+
+def _hbs_ledger(graph, mode, dtilde=None, decrease=None):
+    """Build an HBS under ``mode``, optionally DecreaseKey, then one round.
+
+    ``decrease`` is ``(vertices, new keys)``: the keys are written to
+    ``dtilde`` and the vertices passed with their old keys.  Returns the
+    round and the ledger steps.
+    """
+    from repro.runtime.simulator import SimRuntime
+    from repro.structures.hbs import HierarchicalBuckets
+
+    dtilde = graph.degrees.astype(np.int64) if dtilde is None else dtilde
+    runtime = SimRuntime()
+    structure = HierarchicalBuckets()
+    structure.build(
+        graph, dtilde, np.zeros(graph.n, dtype=bool), runtime,
+        KernelScratch(graph, mode),
+    )
+    if decrease is not None:
+        vertices, keys = decrease
+        old = dtilde[vertices].copy()
+        dtilde[vertices] = keys
+        structure.on_decrements(vertices, old)
+    step = structure.next_round()
+    ledger = [
+        (s.work, s.span, s.barriers, s.tag) for s in runtime.metrics.steps
+    ]
+    return step, ledger
+
+
+@pytest.mark.skipif(not native_available(), reason="no C compiler")
+@pytest.mark.parametrize(
+    "copies", [1, 191, 192, 193, 575, 576, 577, 1343, 1344, 1345]
+)
+def test_native_hbs_prices_extraction_in_closed_form(copies):
+    """A bag's scanned prefix at and around every chunk boundary."""
+    from repro.structures.hash_bag import extract_prefix
+
+    graph = empty_graph(copies)
+    native_step, native_ledger = _hbs_ledger(graph, NATIVE)
+    reference_step, reference_ledger = _hbs_ledger(graph, REFERENCE)
+    assert native_step[0] == reference_step[0] == 0
+    assert np.array_equal(native_step[1], reference_step[1])
+    assert native_ledger == reference_ledger
+    unit = DEFAULT_COST_MODEL.bag_extract_op
+    assert native_ledger[-1] == (
+        unit * extract_prefix(copies), unit, 1, "bag_extract"
+    )
+
+
+@pytest.mark.skipif(not native_available(), reason="no C compiler")
+def test_native_hbs_sorts_shuffled_frontiers():
+    """Copies land in DecreaseKey order; the frontier comes out sorted."""
+    n = 70_000  # ids past 2**16: three radix passes
+    rng = np.random.default_rng(5)
+    graph = empty_graph(n)
+    movers = rng.permutation(n)[: n // 2].astype(np.int64)
+    outs = []
+    for mode in (NATIVE, REFERENCE):
+        dtilde = np.full(n, 9, dtype=np.int64)
+        outs.append(
+            _hbs_ledger(graph, mode, dtilde, (movers, np.zeros(n // 2)))
+        )
+    (k, frontier), ledger = outs[0]
+    assert k == 0
+    assert np.array_equal(frontier, np.sort(movers))
+    assert np.array_equal(frontier, outs[1][0][1])
+    assert ledger == outs[1][1]
+
+
+@pytest.mark.parametrize("mode", [REFERENCE] + FAST_MODES)
+def test_hbs_key_below_layout_raises(mode):
+    from repro.runtime.simulator import SimRuntime
+    from repro.structures.hbs import HierarchicalBuckets
+
+    graph = erdos_renyi(40, 4.0, seed=1)
+    dtilde = graph.degrees.astype(np.int64)
+    structure = HierarchicalBuckets()
+    structure.build(
+        graph, dtilde, np.zeros(graph.n, dtype=bool), SimRuntime(),
+        KernelScratch(graph, mode),
+    )
+    old = dtilde[[3]].copy()
+    dtilde[3] = -1
+    with pytest.raises(ValueError, match="below"):
+        structure.on_decrements(np.array([3]), old)
+    with pytest.raises(ValueError, match="below"):
+        structure.on_decrements(np.array([3]))
+
+
+def _loaded_hbs(graph):
+    """A native HBS loaded with every vertex: ``(scratch, buckets)``."""
+    from repro.perf.kernels import hbs_load
+    from repro.runtime.simulator import SimRuntime
+    from repro.structures.hbs import interval_layout
+
+    scratch = KernelScratch(graph, NATIVE)
+    dtilde = graph.degrees.astype(np.int64)
+    buckets = hbs_load(
+        scratch, dtilde, np.arange(graph.n, dtype=np.int64),
+        interval_layout(0, int(dtilde.max())), SimRuntime(),
+    )
+    return scratch, buckets
+
+
+def _hbs_kernel_call(kernel: str, graph, scratch, buckets, **bad):
+    """Call an HBS kernel wrapper on a loaded structure with well-formed
+    inputs, except for the ``bad`` overrides."""
+    from repro.perf import native
+
+    n = graph.n
+    dtilde = graph.degrees.astype(np.int64)
+    args = {
+        "dtilde": dtilde,
+        "peeled": np.zeros(n, dtype=bool),
+        "marks": scratch.count_buf(),
+        "vertices": np.array([0, 1], dtype=np.int64),
+        "old_keys": dtilde[[0, 1]] + 8,
+    }
+    args.update(bad)
+    for name in ("out", "live"):
+        if name in bad:
+            setattr(buckets, name, bad[name])
+    if kernel == "decrease":
+        native.run_hbs_decrease(
+            args["dtilde"], args["vertices"], args["old_keys"], True,
+            buckets,
+        )
+    else:
+        native.run_hbs_next_round(
+            args["dtilde"], args["peeled"], args["marks"], buckets, 256,
+            192, 0, scratch,
+        )
+
+
+#: One rejected input each: (kernel, argument, bad value from n, error).
+BAD_HBS = {
+    "decrease-vertices-above-n": (
+        "decrease", "vertices", lambda n: np.array([0, n]), IndexError,
+    ),
+    "decrease-vertices-negative": (
+        "decrease", "vertices", lambda n: np.array([-1, 0]), IndexError,
+    ),
+    "decrease-old_keys-short": (
+        "decrease", "old_keys", lambda n: np.array([9]), ValueError,
+    ),
+    "decrease-dtilde-int32": (
+        "decrease", "dtilde", lambda n: np.zeros(n, np.int32), ValueError,
+    ),
+    "next_round-dtilde-strided": (
+        "next_round", "dtilde", lambda n: np.zeros(2 * n, np.int64)[::2],
+        ValueError,
+    ),
+    "next_round-peeled-uint8": (
+        "next_round", "peeled", lambda n: np.zeros(n, np.uint8), ValueError,
+    ),
+    "next_round-peeled-short": (
+        "next_round", "peeled", lambda n: np.zeros(n - 1, bool), ValueError,
+    ),
+    "next_round-marks-short": (
+        "next_round", "marks", lambda n: np.zeros(n - 1, np.int64),
+        ValueError,
+    ),
+    "next_round-out-too-small": (
+        "next_round", "out", lambda n: np.empty(n - 1, np.int64), ValueError,
+    ),
+    "next_round-live-too-small": (
+        "next_round", "live", lambda n: np.empty(n - 1, np.int64),
+        ValueError,
+    ),
+}
+
+
+@pytest.mark.skipif(not native_available(), reason="no C compiler")
+@pytest.mark.parametrize("case", sorted(BAD_HBS))
+def test_hbs_kernels_reject_bad_input(case):
+    """Ids, lengths, layouts and capacities are checked before C runs."""
+    kernel, name, bad, error = BAD_HBS[case]
+    graph = erdos_renyi(40, 4.0, seed=1)
+    _hbs_kernel_call(kernel, graph, *_loaded_hbs(graph))  # accepted
+    scratch, buckets = _loaded_hbs(graph)
+    state = buckets.state.copy()
+    counts = buckets.slots[4].copy()
+    with pytest.raises(error, match=name):
+        _hbs_kernel_call(
+            kernel, graph, scratch, buckets, **{name: bad(graph.n)}
+        )
+    assert np.array_equal(buckets.state, state)
+    assert np.array_equal(buckets.slots[4], counts)

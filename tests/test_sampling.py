@@ -288,3 +288,66 @@ class TestRestartEscalation:
         assert np.array_equal(
             result.coreness, reference_coreness(hub_graph)
         )
+
+
+class TestSampledSet:
+    """``sampled()`` is ``np.nonzero(mode)[0]`` without the O(n) scan."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_install_resample_exit_sequences(self, seed):
+        rng = np.random.default_rng(seed)
+        graph = power_law_with_hub(
+            400, 6, hub_count=6, hub_degree=150, seed=seed
+        )
+        state = _make_state(graph, SamplingConfig(mu=4, threshold=8))
+        state.initialize()
+        for _ in range(60):
+            op = int(rng.integers(0, 4))
+            k = int(rng.integers(0, 4))
+            vertices = rng.integers(0, graph.n, size=int(rng.integers(1, 40)))
+            if op == 0:
+                # Re-install on an arbitrary batch: new vertices too.
+                state.set_sampler_bulk(vertices, k)
+            elif op == 1:
+                live = vertices[~state.peeled[vertices]]
+                state.resample_bulk(live, k)
+            elif op == 2:
+                state.peeled[vertices] = True
+                state.exit_sample_mode(vertices)
+            else:
+                state.validate_failures(k)
+            assert np.array_equal(
+                state.sampled(), np.nonzero(state.mode)[0]
+            )
+        assert state.active() == bool(state.mode.any())
+
+    def test_never_sampled_graph_is_inactive(self):
+        state = _make_state(complete_graph(6))
+        state.initialize()
+        assert not state.active()
+        assert state.sampled().size == 0
+
+    def test_framework_and_subgraph_paths(self, monkeypatch):
+        from repro.core.subgraph import max_kcore_subgraph
+
+        calls = []
+        original = SamplingState.sampled
+
+        def checked(self):
+            out = original(self)
+            assert np.array_equal(out, np.nonzero(self.mode)[0])
+            calls.append(out.size)
+            return out
+
+        monkeypatch.setattr(SamplingState, "sampled", checked)
+        graph = power_law_with_hub(500, 5, hub_count=4, hub_degree=200)
+        eager = SamplingConfig(mu=4, threshold=8)
+        result = decompose(
+            graph,
+            FrameworkConfig(vgc=True, sampling=True, sampling_config=eager),
+        )
+        assert np.array_equal(result.coreness, reference_coreness(graph))
+        before = len(calls)
+        max_kcore_subgraph(graph, 4, sampling_config=eager)
+        assert len(calls) > before
+        assert any(calls)

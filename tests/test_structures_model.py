@@ -29,6 +29,8 @@ from repro.generators import (
     power_law_with_hub,
 )
 from repro.graphs.csr import CSRGraph
+from repro.perf import NATIVE, REFERENCE, native_available
+from repro.perf.kernels import KernelScratch
 from repro.runtime.simulator import SimRuntime
 from repro.structures import (
     AdaptiveHBS,
@@ -38,7 +40,11 @@ from repro.structures import (
     MonotoneIntPQ,
     SingleBucket,
 )
-from repro.structures.hash_bag import LOAD_FACTOR
+from repro.structures.hash_bag import (
+    CHUNK_ROOM,
+    LOAD_FACTOR,
+    extract_prefix,
+)
 
 
 class TestHashBagModel:
@@ -92,6 +98,30 @@ class TestHashBagModel:
         bag.insert_many(np.arange(200, dtype=np.int64))
         assert bag._slots.size > initial_slots
         assert sorted(bag.extract_all().tolist()) == list(range(200))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_closed_form_prefix_matches_used_prefix(self, seed):
+        """``extract_prefix(t)`` is the scanned prefix, any capacity."""
+        rng = np.random.default_rng(200 + seed)
+        for _ in range(100):
+            bag = HashBag(int(rng.integers(1, 5001)))
+            inserted = 0
+            for _ in range(int(rng.integers(1, 5))):
+                batch = int(rng.integers(0, 2500))
+                bag.insert_many(np.arange(batch, dtype=np.int64))
+                inserted += batch
+                assert bag.used_prefix == extract_prefix(inserted)
+                if rng.random() < 0.3:
+                    bag.extract_all()
+                    inserted = 0
+
+    def test_closed_form_prefix_at_chunk_boundaries(self):
+        for chunks in range(1, 6):
+            full = CHUNK_ROOM * (2**chunks - 1)
+            for inserted in (full - 1, full, full + 1):
+                bag = HashBag(1)
+                bag.insert_many(np.zeros(inserted, dtype=np.int64))
+                assert bag.used_prefix == extract_prefix(inserted)
 
     def test_extract_resets_to_smallest_chunk(self):
         bag = HashBag(8, lam=4)
@@ -195,18 +225,31 @@ class TestMonotoneIntPQModel:
         assert pq.extract_min_bucket() == (12, [7])
 
 
-def _drive(structure, graph: CSRGraph):
+def _drive(structure, graph: CSRGraph, mode: str | None = None):
     """Peel ``graph`` through ``structure``, mirroring the offline peel.
 
     Returns the ``(k, frontier)`` subround trace and the final coreness.
     Decrements that cross the round's threshold join the running frontier
     directly (never passed to ``on_decrements``), exactly per the
-    :class:`BucketStructure` contract.
+    :class:`BucketStructure` contract.  ``mode`` builds the structure
+    with a kernel scratch of that mode (its native twin, if it has one).
+    """
+    trace, coreness, _ = _drive_ledger(structure, graph, mode)
+    return trace, coreness
+
+
+def _drive_ledger(structure, graph: CSRGraph, mode: str | None = None):
+    """:func:`_drive`, plus the structure's ledger steps.
+
+    Every other round also re-inserts a few live vertices without old
+    keys (the framework's rejected-vertex DecreaseKey).
     """
     dtilde = graph.degrees.astype(np.int64).copy()
     peeled = np.zeros(graph.n, dtype=bool)
     coreness = np.zeros(graph.n, dtype=np.int64)
-    structure.build(graph, dtilde, peeled, SimRuntime())
+    runtime = SimRuntime()
+    scratch = KernelScratch(graph, mode) if mode is not None else None
+    structure.build(graph, dtilde, peeled, runtime, scratch)
     trace = []
     while (step := structure.next_round()) is not None:
         k, frontier = step
@@ -228,18 +271,34 @@ def _drive(structure, graph: CSRGraph):
                 structure.on_decrements(keys[survivors], old[survivors])
             frontier = crossed[~peeled[crossed]]
         structure.round_finished(k)
-    return trace, coreness
+        if len(trace) % 2:
+            live = np.flatnonzero(~peeled)[:5]
+            structure.on_decrements(live[dtilde[live] > k])
+    steps = [
+        (step.work, step.span, step.barriers, step.tag)
+        for step in runtime.metrics.steps
+    ]
+    return trace, coreness, steps
 
 
-#: Factories, not instances: structures are stateful one-shot objects.
+#: ``(factory, kernel mode)``: factories, not instances (structures are
+#: stateful one-shot objects); a mode builds with a kernel scratch, so
+#: the HBS flavours run their native twin under ``native``.
 STRUCTURES = {
-    "single": SingleBucket,
-    "fixed-16": FixedBuckets,
-    "fixed-4": lambda: FixedBuckets(4),
-    "hbs": HierarchicalBuckets,
-    "adaptive": AdaptiveHBS,
-    "adaptive-low-theta": lambda: AdaptiveHBS(theta=4),
+    "single": (SingleBucket, None),
+    "fixed-16": (FixedBuckets, None),
+    "fixed-4": (lambda: FixedBuckets(4), None),
+    "hbs": (HierarchicalBuckets, None),
+    "adaptive": (AdaptiveHBS, None),
+    "adaptive-low-theta": (lambda: AdaptiveHBS(theta=4), None),
 }
+#: The native twins, each checked against its reference flavour.
+NATIVE_TWINS = {
+    f"{name}-native": name
+    for name in ("hbs", "adaptive", "adaptive-low-theta")
+} if native_available() else {}
+for _twin, _name in NATIVE_TWINS.items():
+    STRUCTURES[_twin] = (STRUCTURES[_name][0], NATIVE)
 
 GRAPHS = {
     "er-150": lambda: erdos_renyi(150, 6.0, seed=3),
@@ -252,6 +311,39 @@ GRAPHS = {
 }
 
 
+class _TightHBS(HierarchicalBuckets):
+    """An HBS whose native buffers hold one row and no spare slot
+    whenever a kernel is called."""
+
+    def _tighten(self):
+        buckets = self._native
+        if buckets is not None:
+            live = int(buckets.state[0])
+            buckets.rows = tuple(rows[:1].copy() for rows in buckets.rows)
+            buckets.slots = tuple(
+                column[:live].copy() for column in buckets.slots
+            )
+            buckets.forget()
+
+    def next_round(self):
+        self._tighten()
+        return super().next_round()
+
+    def on_decrements(self, vertices, old_keys=None):
+        self._tighten()
+        super().on_decrements(vertices, old_keys)
+
+
+#: Dense enough that every HBS flavour buckets from round one, moves
+#: vertices between intervals and splits range buckets.
+DENSE_GRAPHS = {
+    "er-dense": lambda: erdos_renyi(300, 40.0, seed=5),
+    "hub-dense": lambda: power_law_with_hub(
+        400, 20, hub_count=3, hub_degree=200, seed=6
+    ),
+}
+
+
 class TestBucketStructuresAgree:
     """All bucketing strategies must extract identical peel schedules."""
 
@@ -260,8 +352,8 @@ class TestBucketStructuresAgree:
         graph = GRAPHS[graph_name]()
         expected = bz_core(graph).coreness
         reference_trace = None
-        for name, factory in STRUCTURES.items():
-            trace, coreness = _drive(factory(), graph)
+        for name, (factory, mode) in STRUCTURES.items():
+            trace, coreness = _drive(factory(), graph, mode)
             assert np.array_equal(coreness, expected), (
                 f"{name} coreness wrong on {graph_name}"
             )
@@ -277,12 +369,42 @@ class TestBucketStructuresAgree:
         graph = erdos_renyi(100, 4.0 + seed, seed=40 + seed)
         expected = bz_core(graph).coreness
         traces = {
-            name: _drive(factory(), graph)
-            for name, factory in STRUCTURES.items()
+            name: _drive(factory(), graph, mode)
+            for name, (factory, mode) in STRUCTURES.items()
         }
         for name, (trace, coreness) in traces.items():
             assert np.array_equal(coreness, expected), (name, seed)
             assert trace == traces["single"][0], (name, seed)
+
+    @pytest.mark.parametrize("twin", sorted(NATIVE_TWINS))
+    @pytest.mark.parametrize(
+        "graph_name", sorted(GRAPHS) + ["er-dense", "hub-dense"]
+    )
+    def test_native_twin_matches_reference_ledger(self, twin, graph_name):
+        """Same ``(k, frontier)`` trace and the same ledger, step by step."""
+        graph = (GRAPHS | DENSE_GRAPHS)[graph_name]()
+        factory, mode = STRUCTURES[twin]
+        native = _drive_ledger(factory(), graph, mode)
+        reference = _drive_ledger(factory(), graph, REFERENCE)
+        assert native[0] == reference[0]
+        assert np.array_equal(native[1], reference[1])
+        assert native[2] == reference[2]
+        if graph_name in DENSE_GRAPHS:
+            assert {step[3] for step in reference[2]} >= {
+                "bag_extract", "bag_insert_many", "hbs_decreasekey"
+            }
+
+    @pytest.mark.skipif(not native_available(), reason="no C compiler")
+    @pytest.mark.parametrize("graph_name", sorted(DENSE_GRAPHS))
+    def test_native_twin_resumes_after_growing(self, graph_name):
+        """Buffers too small for any call: every kernel call stops,
+        the wrapper grows the buffer and resumes, ledger unchanged."""
+        graph = DENSE_GRAPHS[graph_name]()
+        native = _drive_ledger(_TightHBS(), graph, NATIVE)
+        reference = _drive_ledger(HierarchicalBuckets(), graph, REFERENCE)
+        assert native[0] == reference[0]
+        assert np.array_equal(native[1], reference[1])
+        assert native[2] == reference[2]
 
     def test_frontiers_match_contract(self):
         # Every returned frontier is exactly the unpeeled dtilde == k set:
